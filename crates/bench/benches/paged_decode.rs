@@ -11,14 +11,13 @@
 //! 2. **Sessions per GB** — the point of paged allocation: under the same
 //!    KV budget, block-granular charging at actual context must admit ≥ 2×
 //!    the sessions of worst-case max-context reservation
-//!    (`pin_sessions_per_gb`, replayed through `DecodeRuntime` on a
+//!    (`pin_sessions_per_gb`, replayed through `ServeEngine` on a
 //!    long-max-context/short-actual-context trace).
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mas_serve::{DecodePolicy, DecodeRuntime, KvDtype};
-use mas_sim::HardwareConfig;
+use mas_serve::{DecodePolicy, EngineConfig, KvDtype, ServeEngine};
 use mas_tensor::decode::{decode_attention, KvCache};
 use mas_tensor::init::random_qkv;
 use mas_tensor::paged::{decode_attention_paged, KvBlockPool, PagedKvCache};
@@ -165,7 +164,6 @@ fn admission_trace(sessions: u64, prompt: usize, declared: usize, actual: usize)
 /// Replays a long-max-context/short-actual-context trace under both
 /// charging policies at the same budget and pins the sessions-per-GB win.
 fn pin_sessions_per_gb(_c: &mut Criterion) {
-    let hw = HardwareConfig::edge_default();
     let budget: u64 = 1 << 30; // 1 GiB of KV
     let (prompt, declared, actual) = (32usize, 480usize, 8usize);
     let trace = admission_trace(4096, prompt, declared, actual);
@@ -176,7 +174,13 @@ fn pin_sessions_per_gb(_c: &mut Criterion) {
             kv_block_tokens,
             ..DecodePolicy::default()
         };
-        DecodeRuntime::new(hw.clone(), policy).run_trace(&trace)
+        ServeEngine::new(EngineConfig {
+            decode: policy,
+            ..EngineConfig::default()
+        })
+        .run(&[], &trace)
+        .expect("decode-only streams never plan and so never fail")
+        .decode
     };
     let legacy = run(None);
     let paged = run(Some(BLOCK_TOKENS));
@@ -211,7 +215,6 @@ fn pin_sessions_per_gb(_c: &mut Criterion) {
 /// the stored bytes per element must admit ≥ 1.8× the sessions with no
 /// budget violations and no pool overflows.
 fn pin_f16_sessions_per_gb(_c: &mut Criterion) {
-    let hw = HardwareConfig::edge_default();
     let budget: u64 = 1 << 30; // 1 GiB of KV
     let (prompt, declared, actual) = (32usize, 480usize, 8usize);
     // More offered sessions than even the f16 run can hold, so admission is
@@ -224,7 +227,13 @@ fn pin_f16_sessions_per_gb(_c: &mut Criterion) {
             kv_dtype: Some(kv_dtype),
             ..DecodePolicy::default()
         };
-        DecodeRuntime::new(hw.clone(), policy).run_trace(&trace)
+        ServeEngine::new(EngineConfig {
+            decode: policy,
+            ..EngineConfig::default()
+        })
+        .run(&[], &trace)
+        .expect("decode-only streams never plan and so never fail")
+        .decode
     };
     let f32_run = run(KvDtype::F32);
     let f16_run = run(KvDtype::F16);

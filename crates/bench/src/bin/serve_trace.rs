@@ -1,5 +1,5 @@
-//! Replays a generated request trace through the `mas-serve` streaming
-//! runtime and reports per-network and aggregate serving metrics.
+//! Replays a generated request trace through the `mas-serve` engine and
+//! reports per-network and aggregate serving metrics.
 //!
 //! ```text
 //! serve_trace [--requests N] [--rate RPS] [--seed S] [--burst LEN]
@@ -52,11 +52,12 @@ use mas_dataflow::DataflowKind;
 use mas_search::tuner::TunerConfig;
 use mas_serve::{
     validate_chrome_trace, ChunkPolicy, EngineConfig, KvDtype, PreemptMode, ScheduleCache,
-    SchedulePolicy, ServeConfig, ServeEngine, ServeReport, ServeRequest, ServeRuntime, Telemetry,
-    TelemetryConfig, TrackConfig,
+    SchedulePolicy, ServeEngine, ServeReport, ServeRequest, Telemetry, TelemetryConfig,
+    TrackConfig,
 };
 use mas_workloads::{
-    decode_trace, request_trace, DecodeTraceConfig, Network, TraceConfig, MIXED_DECODE_SEED_SALT,
+    decode_trace, request_trace, DecodeTrace, DecodeTraceConfig, Network, TraceConfig,
+    MIXED_DECODE_SEED_SALT,
 };
 
 struct Args {
@@ -205,11 +206,11 @@ fn main() {
         args.deadline_ms.map(|ms| ms / 1e3),
     );
 
-    let mut config = ServeConfig {
+    let mut config = EngineConfig {
         devices: args.devices,
         parallel_planning: !args.serial,
         telemetry: args.telemetry(),
-        ..ServeConfig::default()
+        ..EngineConfig::default()
     };
     if args.search {
         config.planner = PlannerConfig {
@@ -233,11 +234,12 @@ fn main() {
         return;
     }
 
-    let mut runtime = ServeRuntime::with_cache(config, cache);
+    let mut engine = ServeEngine::with_cache(config, cache);
     let wall_start = std::time::Instant::now();
-    let report = runtime
-        .run_trace(&stream)
-        .unwrap_or_else(|e| panic!("replaying the trace failed: {e}"));
+    let report = engine
+        .run(&stream, &DecodeTrace::empty())
+        .unwrap_or_else(|e| panic!("replaying the trace failed: {e}"))
+        .prefill;
     let wall = wall_start.elapsed();
 
     print_report(
@@ -245,7 +247,7 @@ fn main() {
         &trace_cfg,
         &report,
         warm_entries,
-        runtime.cache().len(),
+        engine.cache().len(),
     );
     println!(
         "host planning wall-clock: {:.1} ms for {} requests ({:.1} req/s offered)",
@@ -257,13 +259,13 @@ fn main() {
     if args.json {
         println!("{}", report_json(&report));
     }
-    export_telemetry(runtime.telemetry(), &args);
+    export_telemetry(engine.telemetry(), &args);
     if let Some(path) = &args.save_cache {
-        runtime
+        engine
             .cache()
             .save(path)
             .unwrap_or_else(|e| panic!("saving cache {path}: {e}"));
-        println!("saved cache to {path} ({} entries)", runtime.cache().len());
+        println!("saved cache to {path} ({} entries)", engine.cache().len());
     }
 }
 
@@ -271,7 +273,7 @@ fn main() {
 /// prefill stream and replay both classes through the unified engine.
 fn run_mixed(
     args: &Args,
-    config: ServeConfig,
+    mut config: EngineConfig,
     cache: ScheduleCache,
     stream: &[ServeRequest],
     networks: Vec<Network>,
@@ -290,19 +292,13 @@ fn run_mixed(
         dconfig = dconfig.with_system_prompt(64);
     }
     let dtrace = decode_trace(&dconfig);
-    let mut engine_config: EngineConfig = config.into();
-    engine_config.policy = args.policy;
-    engine_config.decode.kv_dtype = args.kv_dtype;
-    engine_config.decode.prefix_share = args.prefix_share;
-    engine_config.chunked_prefill = args.chunked_prefill.map(ChunkPolicy::new);
-    engine_config.preempt = args.preempt;
-    engine_config.tracks = args.tracks.then(TrackConfig::default);
-    // The From<ServeConfig> lifting disables the shared budget for legacy
-    // prefill-shim compatibility; a mixed replay wants the engine's real
-    // default (the decode policy's half-DRAM KV budget) so the cross-class
-    // memory coupling is live.
-    engine_config.shared_budget_bytes = None;
-    let mut engine = ServeEngine::with_cache(engine_config, cache);
+    config.policy = args.policy;
+    config.decode.kv_dtype = args.kv_dtype;
+    config.decode.prefix_share = args.prefix_share;
+    config.chunked_prefill = args.chunked_prefill.map(ChunkPolicy::new);
+    config.preempt = args.preempt;
+    config.tracks = args.tracks.then(TrackConfig::default);
+    let mut engine = ServeEngine::with_cache(config, cache);
     let wall_start = std::time::Instant::now();
     let report = engine
         .run(stream, &dtrace)

@@ -1,138 +1,39 @@
-//! Stream-demand cost glue shared by the serving layer's merged launch path.
+//! The launch-cost currency shared by the serving layer's launch path.
 //!
-//! A device launch — whether it carries a merged prefill batch or a batched
-//! set of decode steps — is bounded by the same three streams: MAC work,
-//! VEC (softmax) work and DRAM traffic. [`StreamDemand`] is the common
-//! currency: both work classes lower into it, demands of co-launched work
-//! items add component-wise, and [`StreamDemand::bound_seconds`] turns the
-//! sum into the physical service-time bound on a given device. The serve
-//! engine's unified prefill+decode timeline costs every launch through this
-//! one type, so the two traffic classes are comparable by construction.
+//! A device launch — whether it carries a merged prefill batch, a batched
+//! set of decode steps or one chunk of a chunked prefill — is bounded by
+//! the same streams: MAC work, VEC (softmax) work and DRAM traffic, the
+//! latter split by direction into operand/KV reads and result writes.
+//! [`TrackDemand`] is the one currency: every work class lowers into it,
+//! demands of co-launched work items add component-wise, and
+//! [`TrackDemand::bound_seconds`] turns the sum into the physical
+//! service-time bound on a given device, while
+//! [`TrackDemand::track_seconds`] feeds the overlap-aware track executor.
+//! The serve engine costs every launch through this one type, so the
+//! traffic classes are comparable by construction.
 //!
-//! The arithmetic is deliberately bit-for-bit identical to the historical
-//! per-class formulas (prefill admission's service-time lower bound and the
-//! decode launch cost model): each component is computed per item in `f64`,
-//! accumulated in item order, and divided by the device rate once at the
-//! end. Refactoring the call sites onto this type therefore changes no
-//! report anywhere.
+//! Components are exact integer counts below 2^53, so the `u64 → f64`
+//! conversions in [`TrackDemand::bound_seconds`] are exact and the bound is
+//! bit-for-bit the three-stream closed form (peak-rate MAC time, VEC time
+//! and total DRAM traffic time, whichever binds).
 
 use mas_sim::HardwareConfig;
 
 use crate::decode::{DecodeStep, PrefillChunk};
 use crate::workload::AttentionWorkload;
 
-/// The three-stream resource demand of one unit of attention work (a
-/// prefill workload or a decode step), in device-independent units:
-/// multiply-accumulates, VEC-lane operations and DRAM bytes.
-///
-/// Demands of work items sharing a launch add component-wise
-/// ([`StreamDemand::accumulate`]); the launch's physical service-time bound
-/// on a device is the binding component ([`StreamDemand::bound_seconds`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StreamDemand {
-    /// Multiply-accumulate operations.
-    pub mac_ops: f64,
-    /// VEC-lane operations (softmax elements times the per-element op
-    /// count of the device's softmax decomposition).
-    pub vec_ops: f64,
-    /// Minimum DRAM traffic in bytes.
-    pub dram_bytes: f64,
-}
-
-impl StreamDemand {
-    /// The demand of one fixed-shape prefill attention workload: its full
-    /// MAC count, its softmax elements at the device's VEC cost per
-    /// element, and its minimum DRAM traffic.
-    #[must_use]
-    pub fn of_prefill(workload: &AttentionWorkload, hw: &HardwareConfig) -> Self {
-        Self {
-            mac_ops: workload.total_mac_ops() as f64,
-            vec_ops: workload.softmax_elements() as f64 * hw.softmax_ops_per_element as f64,
-            dram_bytes: workload.min_dram_traffic_bytes(hw.element_bytes) as f64,
-        }
-    }
-
-    /// The demand of one decode step: linear-in-context MAC and softmax
-    /// work plus the KV-cache stream and new-token rows.
-    #[must_use]
-    pub fn of_decode_step(step: &DecodeStep, hw: &HardwareConfig) -> Self {
-        Self::of_decode_step_with_kv(step, hw, hw.element_bytes)
-    }
-
-    /// [`StreamDemand::of_decode_step`] with the KV terms of the DRAM
-    /// traffic priced at `kv_element_bytes`
-    /// ([`DecodeStep::min_dram_traffic_bytes_split`]): a narrower KV dtype
-    /// shrinks the cache stream — and so the DRAM-bound service time — but
-    /// leaves MAC and softmax work untouched (compute widens to f32).
-    #[must_use]
-    pub fn of_decode_step_with_kv(
-        step: &DecodeStep,
-        hw: &HardwareConfig,
-        kv_element_bytes: usize,
-    ) -> Self {
-        Self {
-            mac_ops: step.mac_ops() as f64,
-            vec_ops: step.softmax_elements() as f64 * hw.softmax_ops_per_element as f64,
-            dram_bytes: step.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes)
-                as f64,
-        }
-    }
-
-    /// The demand of one chunk of a chunked prefill with the KV terms
-    /// priced at `kv_element_bytes`: the decode cost split
-    /// ([`StreamDemand::of_decode_step_with_kv`]) summed in closed form over
-    /// the chunk's causal query rows ([`PrefillChunk`]). A chunk covering a
-    /// whole prompt therefore prices identically to the per-token decode
-    /// chain it replaces, up to the per-launch issue overhead.
-    #[must_use]
-    pub fn of_prefill_chunk_with_kv(
-        chunk: &PrefillChunk,
-        hw: &HardwareConfig,
-        kv_element_bytes: usize,
-    ) -> Self {
-        Self {
-            mac_ops: chunk.mac_ops() as f64,
-            vec_ops: chunk.softmax_elements() as f64 * hw.softmax_ops_per_element as f64,
-            dram_bytes: chunk.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes)
-                as f64,
-        }
-    }
-
-    /// Adds another work item's demand component-wise (work items sharing a
-    /// launch each stream their own operands and compute their own rows, so
-    /// demands sum).
-    pub fn accumulate(&mut self, other: &Self) {
-        self.mac_ops += other.mac_ops;
-        self.vec_ops += other.vec_ops;
-        self.dram_bytes += other.dram_bytes;
-    }
-
-    /// Physical lower bound on the service time of this demand on an idle
-    /// device: the largest of peak-throughput MAC time, peak-throughput VEC
-    /// time and minimum DRAM traffic time. Queueing, tiling overheads and
-    /// launch issue cost only add to this.
-    #[must_use]
-    pub fn bound_seconds(&self, hw: &HardwareConfig) -> f64 {
-        let mac_s = self.mac_ops / hw.peak_macs_per_second();
-        let vec_s = self.vec_ops / (hw.vec_ops_per_cycle_total() as f64 * hw.frequency_hz);
-        let dram_s = self.dram_bytes / hw.dram_bandwidth_bytes_per_s;
-        mac_s.max(vec_s).max(dram_s)
-    }
-}
-
-/// The four-track resource demand of one unit of attention work: the
-/// [`StreamDemand`] streams with the DRAM traffic split by direction, in
-/// exact integer units. This is the currency the overlap-aware track
-/// executor schedules — operand/KV streaming rides the DMA-in queue,
-/// MAC and VEC work ride the two compute queues, and result rows ride the
+/// The four-track resource demand of one unit of attention work, in exact
+/// integer units: multiply-accumulates, VEC-lane operations and DRAM bytes
+/// split by direction. This is also the currency the overlap-aware track
+/// executor schedules — operand/KV streaming rides the DMA-in queue, MAC
+/// and VEC work ride the two compute queues, and result rows ride the
 /// writeback queue, so a launch's stages can overlap across queues instead
 /// of collapsing to the scalar `max` bound.
 ///
 /// Components are integers by construction (op and byte counts), which
 /// makes [`TrackDemand::split_stages`] exact: the per-stage demands of a
 /// tiled launch telescope back to the monolithic demand with zero rounding
-/// drift, and [`TrackDemand::stream`] reproduces the closed-form
-/// [`StreamDemand`] bit-for-bit.
+/// drift.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackDemand {
     /// Read-direction DRAM bytes (operand / KV-cache streaming in).
@@ -147,8 +48,9 @@ pub struct TrackDemand {
 }
 
 impl TrackDemand {
-    /// The four-track demand of one fixed-shape prefill attention workload:
-    /// reads `Q`/`K`/`V`, computes, writes `O`.
+    /// The demand of one fixed-shape prefill attention workload: reads
+    /// `Q`/`K`/`V`, computes its full MAC count and its softmax elements at
+    /// the device's VEC cost per element, writes `O`.
     #[must_use]
     pub fn of_prefill(workload: &AttentionWorkload, hw: &HardwareConfig) -> Self {
         let total = workload.min_dram_traffic_bytes(hw.element_bytes);
@@ -161,15 +63,16 @@ impl TrackDemand {
         }
     }
 
-    /// The four-track demand of one decode step with KV terms priced at
-    /// `kv_element_bytes`: streams the cached `K`/`V` plus the `q` row in,
-    /// writes the appended `k`/`v` rows and the `o` row back.
+    /// The demand of one decode step with the KV terms of its DRAM traffic
+    /// priced at `kv_element_bytes`
+    /// ([`DecodeStep::min_dram_traffic_bytes_split`]; pass
+    /// `hw.element_bytes` for KV stored at the device element size):
+    /// streams the cached `K`/`V` plus the `q` row in, writes the appended
+    /// `k`/`v` rows and the `o` row back. A narrower KV dtype shrinks the
+    /// cache stream — and so the DRAM-bound service time — but leaves MAC
+    /// and softmax work untouched (compute widens to f32).
     #[must_use]
-    pub fn of_decode_step_with_kv(
-        step: &DecodeStep,
-        hw: &HardwareConfig,
-        kv_element_bytes: usize,
-    ) -> Self {
+    pub fn of_decode_step(step: &DecodeStep, hw: &HardwareConfig, kv_element_bytes: usize) -> Self {
         let total = step.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes);
         let write = step.min_dram_write_bytes_split(hw.element_bytes, kv_element_bytes);
         Self {
@@ -180,11 +83,14 @@ impl TrackDemand {
         }
     }
 
-    /// The four-track demand of one chunk of a chunked prefill — the decode
-    /// split summed in closed form over the chunk's causal rows, exactly as
-    /// [`StreamDemand::of_prefill_chunk_with_kv`].
+    /// The demand of one chunk of a chunked prefill with the KV terms
+    /// priced at `kv_element_bytes`: the decode split
+    /// ([`TrackDemand::of_decode_step`]) summed in closed form over the
+    /// chunk's causal query rows ([`PrefillChunk`]). A chunk covering a
+    /// whole prompt therefore prices identically to the per-token decode
+    /// chain it replaces, up to the per-launch issue overhead.
     #[must_use]
-    pub fn of_prefill_chunk_with_kv(
+    pub fn of_prefill_chunk(
         chunk: &PrefillChunk,
         hw: &HardwareConfig,
         kv_element_bytes: usize,
@@ -199,9 +105,9 @@ impl TrackDemand {
         }
     }
 
-    /// Adds another work item's demand component-wise (co-launched items
-    /// each stream their own operands, so demands sum, exactly as
-    /// [`StreamDemand::accumulate`]).
+    /// Adds another work item's demand component-wise (work items sharing a
+    /// launch each stream their own operands and compute their own rows, so
+    /// demands sum).
     pub fn accumulate(&mut self, other: &Self) {
         self.dma_in_bytes += other.dma_in_bytes;
         self.mac_ops += other.mac_ops;
@@ -209,18 +115,18 @@ impl TrackDemand {
         self.writeback_bytes += other.writeback_bytes;
     }
 
-    /// Collapses the four tracks back to the three-stream closed form. The
-    /// result is bit-identical to the corresponding [`StreamDemand`]
-    /// constructor: both DMA directions re-merge into one DRAM-byte stream,
-    /// and all counts are integers below 2^53 so the `u64 → f64` casts are
-    /// exact.
+    /// Physical lower bound on the service time of this demand on an idle
+    /// device: the largest of peak-throughput MAC time, peak-throughput VEC
+    /// time and minimum DRAM traffic time (both directions share the DRAM
+    /// channel). Queueing, tiling overheads and launch issue cost only add
+    /// to this.
     #[must_use]
-    pub fn stream(&self) -> StreamDemand {
-        StreamDemand {
-            mac_ops: self.mac_ops as f64,
-            vec_ops: self.vec_ops as f64,
-            dram_bytes: (self.dma_in_bytes + self.writeback_bytes) as f64,
-        }
+    pub fn bound_seconds(&self, hw: &HardwareConfig) -> f64 {
+        let mac_s = self.mac_ops as f64 / hw.peak_macs_per_second();
+        let vec_s = self.vec_ops as f64 / (hw.vec_ops_per_cycle_total() as f64 * hw.frequency_hz);
+        let dram_s =
+            (self.dma_in_bytes + self.writeback_bytes) as f64 / hw.dram_bandwidth_bytes_per_s;
+        mac_s.max(vec_s).max(dram_s)
     }
 
     /// Splits the demand into `stages` per-tile stage demands that sum back
@@ -248,7 +154,7 @@ impl TrackDemand {
     /// Per-track ideal seconds on `hw`, indexed
     /// `[dma-in, mac, vec, writeback]` (the track order of
     /// `mas_sim::TrackKind`): each track's work at its queue's peak rate.
-    /// The scalar [`StreamDemand::bound_seconds`] is the max of these with
+    /// The scalar [`TrackDemand::bound_seconds`] is the max of these with
     /// the two DMA directions fused — splitting the directions can only
     /// lower the per-queue times, never the compute ones.
     #[must_use]
@@ -270,30 +176,32 @@ mod tests {
         HardwareConfig::edge_default()
     }
 
+    fn dram_bytes(d: &TrackDemand) -> u64 {
+        d.dma_in_bytes + d.writeback_bytes
+    }
+
     #[test]
     fn prefill_demand_matches_the_workload_counters() {
         let hw = hw();
         let w = AttentionWorkload::new("toy", 1, 8, 256, 64);
-        let d = StreamDemand::of_prefill(&w, &hw);
-        assert_eq!(d.mac_ops, w.total_mac_ops() as f64);
+        let d = TrackDemand::of_prefill(&w, &hw);
+        assert_eq!(d.mac_ops, w.total_mac_ops());
         assert_eq!(
             d.vec_ops,
-            w.softmax_elements() as f64 * hw.softmax_ops_per_element as f64
+            w.softmax_elements() * hw.softmax_ops_per_element as u64
         );
-        assert_eq!(
-            d.dram_bytes,
-            w.min_dram_traffic_bytes(hw.element_bytes) as f64
-        );
+        assert_eq!(dram_bytes(&d), w.min_dram_traffic_bytes(hw.element_bytes));
         assert!(d.bound_seconds(&hw) > 0.0);
     }
 
     #[test]
     fn decode_demand_is_linear_in_context() {
         let hw = hw();
-        let short = StreamDemand::of_decode_step(&DecodeStep::new("s", 1, 8, 128, 64), &hw);
-        let long = StreamDemand::of_decode_step(&DecodeStep::new("s", 1, 8, 256, 64), &hw);
-        assert_eq!(long.mac_ops, 2.0 * short.mac_ops);
-        assert_eq!(long.vec_ops, 2.0 * short.vec_ops);
+        let eb = hw.element_bytes;
+        let short = TrackDemand::of_decode_step(&DecodeStep::new("s", 1, 8, 128, 64), &hw, eb);
+        let long = TrackDemand::of_decode_step(&DecodeStep::new("s", 1, 8, 256, 64), &hw, eb);
+        assert_eq!(long.mac_ops, 2 * short.mac_ops);
+        assert_eq!(long.vec_ops, 2 * short.vec_ops);
         assert!(long.bound_seconds(&hw) > short.bound_seconds(&hw));
     }
 
@@ -301,32 +209,28 @@ mod tests {
     fn kv_priced_demand_shrinks_only_dram_bytes() {
         let hw = hw();
         let step = DecodeStep::new("d", 1, 8, 4096, 64);
-        let full = StreamDemand::of_decode_step(&step, &hw);
-        let half = StreamDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes / 2);
+        let full = TrackDemand::of_decode_step(&step, &hw, hw.element_bytes);
+        let half = TrackDemand::of_decode_step(&step, &hw, hw.element_bytes / 2);
         assert_eq!(half.mac_ops, full.mac_ops);
         assert_eq!(half.vec_ops, full.vec_ops);
-        assert!(half.dram_bytes < full.dram_bytes);
-        // Equal pricing is exactly the unsplit demand.
-        assert_eq!(
-            StreamDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes),
-            full
-        );
+        assert!(dram_bytes(&half) < dram_bytes(&full));
     }
 
     #[test]
-    fn accumulation_sums_components_in_order() {
+    fn accumulation_sums_components() {
         let hw = hw();
-        let a = StreamDemand::of_decode_step(&DecodeStep::new("a", 1, 8, 100, 64), &hw);
-        let b = StreamDemand::of_decode_step(&DecodeStep::new("b", 1, 8, 200, 64), &hw);
-        let mut sum = StreamDemand::default();
+        let eb = hw.element_bytes;
+        let a = TrackDemand::of_decode_step(&DecodeStep::new("a", 1, 8, 100, 64), &hw, eb);
+        let b = TrackDemand::of_decode_step(&DecodeStep::new("b", 1, 8, 200, 64), &hw, eb);
+        let mut sum = TrackDemand::default();
         sum.accumulate(&a);
         sum.accumulate(&b);
+        assert_eq!(sum.dma_in_bytes, a.dma_in_bytes + b.dma_in_bytes);
         assert_eq!(sum.mac_ops, a.mac_ops + b.mac_ops);
         assert_eq!(sum.vec_ops, a.vec_ops + b.vec_ops);
-        assert_eq!(sum.dram_bytes, a.dram_bytes + b.dram_bytes);
-        // Accumulating from the zero demand is exact (0.0 + x == x), so the
-        // fold over a one-item launch equals the item's own demand.
-        let mut one = StreamDemand::default();
+        assert_eq!(sum.writeback_bytes, a.writeback_bytes + b.writeback_bytes);
+        // The fold over a one-item launch equals the item's own demand.
+        let mut one = TrackDemand::default();
         one.accumulate(&a);
         assert_eq!(one, a);
     }
@@ -334,15 +238,18 @@ mod tests {
     #[test]
     fn bound_takes_the_binding_component() {
         let hw = hw();
-        let mac_heavy = StreamDemand {
-            mac_ops: 1e12,
-            vec_ops: 1.0,
-            dram_bytes: 1.0,
+        let mac_heavy = TrackDemand {
+            dma_in_bytes: 1,
+            mac_ops: 1_000_000_000_000,
+            vec_ops: 1,
+            writeback_bytes: 0,
         };
-        let dram_heavy = StreamDemand {
-            mac_ops: 1.0,
-            vec_ops: 1.0,
-            dram_bytes: 1e12,
+        // Both DMA directions share the DRAM channel.
+        let dram_heavy = TrackDemand {
+            dma_in_bytes: 600_000_000_000,
+            mac_ops: 1,
+            vec_ops: 1,
+            writeback_bytes: 400_000_000_000,
         };
         assert_eq!(
             mac_heavy.bound_seconds(&hw),
@@ -355,6 +262,56 @@ mod tests {
     }
 
     #[test]
+    fn bound_seconds_is_the_three_stream_closed_form() {
+        // The launch cost model's closed form, written out from the work
+        // counters: the largest of peak-rate MAC time, VEC time and total
+        // DRAM traffic time. The demand's bound must equal it bit-for-bit
+        // for every work class and KV pricing.
+        let hw = hw();
+        let closed_form = |mac_ops: u64, softmax_elements: u64, dram_bytes: u64| -> f64 {
+            let mac_s = mac_ops as f64 / hw.peak_macs_per_second();
+            let vec_s = softmax_elements as f64 * hw.softmax_ops_per_element as f64
+                / (hw.vec_ops_per_cycle_total() as f64 * hw.frequency_hz);
+            let dram_s = dram_bytes as f64 / hw.dram_bandwidth_bytes_per_s;
+            mac_s.max(vec_s).max(dram_s)
+        };
+        for w in [
+            AttentionWorkload::new("toy", 2, 8, 192, 64),
+            AttentionWorkload::new("BERT-Small", 1, 8, 512, 64),
+        ] {
+            assert_eq!(
+                TrackDemand::of_prefill(&w, &hw).bound_seconds(&hw),
+                closed_form(
+                    w.total_mac_ops(),
+                    w.softmax_elements(),
+                    w.min_dram_traffic_bytes(hw.element_bytes)
+                )
+            );
+        }
+        let step = DecodeStep::new("d", 1, 8, 300, 64).with_kv_heads(2);
+        let chunk = PrefillChunk::new(1, 8, 100, 32, 64).with_kv_heads(2);
+        // f32 KV (the device element size) and f16 KV.
+        for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
+            assert_eq!(
+                TrackDemand::of_decode_step(&step, &hw, kv_eb).bound_seconds(&hw),
+                closed_form(
+                    step.mac_ops(),
+                    step.softmax_elements(),
+                    step.min_dram_traffic_bytes_split(hw.element_bytes, kv_eb)
+                )
+            );
+            assert_eq!(
+                TrackDemand::of_prefill_chunk(&chunk, &hw, kv_eb).bound_seconds(&hw),
+                closed_form(
+                    chunk.mac_ops(),
+                    chunk.softmax_elements(),
+                    chunk.min_dram_traffic_bytes_split(hw.element_bytes, kv_eb)
+                )
+            );
+        }
+    }
+
+    #[test]
     fn chunk_demand_sums_its_decode_steps() {
         // A chunk's demand must equal the accumulated demand of the decode
         // steps it fuses, for any KV pricing — this is what makes chunked
@@ -362,39 +319,12 @@ mod tests {
         let hw = hw();
         let chunk = PrefillChunk::new(1, 8, 100, 32, 64).with_kv_heads(2);
         for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
-            let direct = StreamDemand::of_prefill_chunk_with_kv(&chunk, &hw, kv_eb);
-            let mut summed = StreamDemand::default();
+            let direct = TrackDemand::of_prefill_chunk(&chunk, &hw, kv_eb);
+            let mut summed = TrackDemand::default();
             for s in chunk.decode_steps() {
-                summed.accumulate(&StreamDemand::of_decode_step_with_kv(&s, &hw, kv_eb));
+                summed.accumulate(&TrackDemand::of_decode_step(&s, &hw, kv_eb));
             }
-            assert_eq!(direct.mac_ops, summed.mac_ops);
-            assert_eq!(direct.vec_ops, summed.vec_ops);
-            assert_eq!(direct.dram_bytes, summed.dram_bytes);
-        }
-    }
-
-    #[test]
-    fn track_demand_stream_matches_the_closed_form_bitwise() {
-        // The four-track split must collapse back to the exact StreamDemand
-        // the scalar model computes — this is what keeps the degenerate
-        // one-track executor bit-identical to `bound_seconds`.
-        let hw = hw();
-        let w = AttentionWorkload::new("toy", 2, 8, 192, 64);
-        assert_eq!(
-            TrackDemand::of_prefill(&w, &hw).stream(),
-            StreamDemand::of_prefill(&w, &hw)
-        );
-        let step = DecodeStep::new("d", 1, 8, 300, 64).with_kv_heads(2);
-        let chunk = PrefillChunk::new(1, 8, 100, 32, 64).with_kv_heads(2);
-        for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
-            assert_eq!(
-                TrackDemand::of_decode_step_with_kv(&step, &hw, kv_eb).stream(),
-                StreamDemand::of_decode_step_with_kv(&step, &hw, kv_eb)
-            );
-            assert_eq!(
-                TrackDemand::of_prefill_chunk_with_kv(&chunk, &hw, kv_eb).stream(),
-                StreamDemand::of_prefill_chunk_with_kv(&chunk, &hw, kv_eb)
-            );
+            assert_eq!(direct, summed);
         }
     }
 
@@ -402,7 +332,7 @@ mod tests {
     fn track_demand_dma_directions_partition_the_traffic() {
         let hw = hw();
         let step = DecodeStep::new("d", 1, 8, 513, 64);
-        let d = TrackDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes);
+        let d = TrackDemand::of_decode_step(&step, &hw, hw.element_bytes);
         assert_eq!(
             d.dma_in_bytes + d.writeback_bytes,
             step.min_dram_traffic_bytes(hw.element_bytes)
@@ -419,7 +349,7 @@ mod tests {
     #[test]
     fn stage_split_telescopes_exactly() {
         let hw = hw();
-        let d = TrackDemand::of_decode_step_with_kv(&DecodeStep::new("d", 1, 8, 997, 64), &hw, 2);
+        let d = TrackDemand::of_decode_step(&DecodeStep::new("d", 1, 8, 997, 64), &hw, 2);
         for stages in [1, 2, 3, 4, 7, 16] {
             let split = d.split_stages(stages);
             assert_eq!(split.len(), stages);
@@ -444,9 +374,9 @@ mod tests {
         let hw = hw();
         for ctx in [64, 1024, 8192] {
             let step = DecodeStep::new("d", 1, 8, ctx, 64);
-            let d = TrackDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes);
+            let d = TrackDemand::of_decode_step(&step, &hw, hw.element_bytes);
             let ts = d.track_seconds(&hw);
-            let bound = d.stream().bound_seconds(&hw);
+            let bound = d.bound_seconds(&hw);
             for t in ts {
                 assert!(t <= bound + f64::EPSILON);
             }
@@ -464,8 +394,12 @@ mod tests {
         // workload's demand live in the same units, so a mixed launch queue
         // can be costed on one timeline.
         let hw = hw();
-        let prefill = StreamDemand::of_prefill(&AttentionWorkload::new("p", 1, 8, 256, 64), &hw);
-        let step = StreamDemand::of_decode_step(&DecodeStep::new("d", 1, 8, 256, 64), &hw);
+        let prefill = TrackDemand::of_prefill(&AttentionWorkload::new("p", 1, 8, 256, 64), &hw);
+        let step = TrackDemand::of_decode_step(
+            &DecodeStep::new("d", 1, 8, 256, 64),
+            &hw,
+            hw.element_bytes,
+        );
         // One decode step is one query row of the prefill's 256: strictly
         // less work on every component.
         assert!(step.mac_ops < prefill.mac_ops);

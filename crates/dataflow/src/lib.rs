@@ -32,10 +32,10 @@
 //! autoregressive *decode* steps ([`DecodeStep`]): one new token attending
 //! over the session's KV cache, with per-step cost linear in the context and
 //! DRAM footprint math that counts only the new-token operands beyond the
-//! unavoidable cache streaming, and [`cost`] provides the [`StreamDemand`]
-//! three-stream cost currency both prefill workloads and decode steps lower
-//! into — the glue the serving layer's unified prefill+decode launch
-//! timeline is costed with.
+//! unavoidable cache streaming, and [`cost`] provides the [`TrackDemand`]
+//! launch-cost currency prefill workloads, decode steps and prefill chunks
+//! all lower into — the one type the serving layer's unified
+//! prefill+decode launch timeline is costed with.
 //!
 //! ## Example
 //!
@@ -74,7 +74,7 @@ pub mod tileflow;
 pub mod tiling;
 pub mod workload;
 
-pub use cost::{StreamDemand, TrackDemand};
+pub use cost::TrackDemand;
 pub use decode::{DecodeStep, PrefillChunk};
 pub use kind::DataflowKind;
 pub use mas_tensor::half::KvDtype;

@@ -1,11 +1,12 @@
 //! Autoregressive decode serving: KV-resident sessions and batched steps.
 //!
-//! The prefill path ([`crate::runtime`]) serves independent fixed-shape
-//! requests. Decode traffic is different in kind: a *session* opens with a
+//! Prefill requests ([`crate::request`]) are independent fixed-shape
+//! workloads. Decode traffic is different in kind: a *session* opens with a
 //! prompt already in its KV cache, then issues one step request per generated
 //! token, and every step depends on the session's cached `K`/`V` rows staying
-//! resident on the device. This module adapts the serving pipeline to that
-//! shape:
+//! resident on the device. This module holds the decode policy, cost model
+//! and report the [`ServeEngine`](crate::engine::ServeEngine) replays a
+//! [`mas_workloads::DecodeTrace`] with:
 //!
 //! * **Block-granular KV residency** — by default
 //!   ([`DecodePolicy::kv_block_tokens`]) sessions charge the shared device
@@ -48,14 +49,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use mas_dataflow::decode::{DecodeStep, PrefillChunk};
-use mas_dataflow::{KvDtype, StreamDemand};
+use mas_dataflow::decode::DecodeStep;
+use mas_dataflow::{KvDtype, TrackDemand};
 use mas_sim::HardwareConfig;
-use mas_workloads::DecodeTrace;
 
-use mas_attention::PlannerConfig;
-
-use crate::engine::{EngineConfig, ServeEngine};
 use crate::metrics::{percentile, LatencyStats};
 
 /// Why a decode session or step was refused.
@@ -212,70 +209,35 @@ impl DecodePolicy {
 }
 
 /// Physical lower bound on the service time of one decode step on an idle
-/// device: a solo [`launch_service_s`] — the largest of peak-throughput MAC
-/// time, peak-throughput VEC (softmax) time and minimum DRAM traffic time,
-/// plus one launch overhead. Queueing and batching delay only add to this,
-/// so admission screening against it can never disagree with dispatch
+/// device, with the KV cache-stream term priced at `kv_element_bytes`
+/// (pass `hw.element_bytes` for KV stored at the device element size): a
+/// solo [`launch_service_s`] — the largest of peak-throughput MAC time,
+/// peak-throughput VEC (softmax) time and minimum DRAM traffic time, plus
+/// one launch overhead. Queueing and batching delay only add to this, so
+/// admission screening against it can never disagree with dispatch
 /// costing.
 #[must_use]
-pub fn decode_step_lower_bound_s(step: &DecodeStep, hw: &HardwareConfig) -> f64 {
-    launch_service_s(std::slice::from_ref(step), hw)
-}
-
-/// [`decode_step_lower_bound_s`] with the KV cache-stream term priced at
-/// `kv_element_bytes` ([`StreamDemand::of_decode_step_with_kv`]): narrower
-/// KV storage lowers the DRAM-bound floor of long-context steps.
-#[must_use]
-pub fn decode_step_lower_bound_s_with_kv(
+pub fn decode_step_lower_bound_s(
     step: &DecodeStep,
     hw: &HardwareConfig,
     kv_element_bytes: usize,
 ) -> f64 {
-    launch_service_s_with_kv(std::slice::from_ref(step), hw, kv_element_bytes)
+    launch_service_s(std::slice::from_ref(step), hw, kv_element_bytes)
 }
 
-/// Service time of one batched launch: member step work is summed per bound
-/// component (each member streams its own KV cache and computes its own
-/// query row), the binding component sets the time, and the launch pays one
-/// issue overhead — which is what batching amortizes.
+/// Service time of one batched launch with every member's KV cache-stream
+/// term priced at `kv_element_bytes` ([`TrackDemand::of_decode_step`]):
+/// member step work is summed per bound component (each member streams its
+/// own KV cache and computes its own query row), the binding component sets
+/// the time, and the launch pays one issue overhead — which is what
+/// batching amortizes.
 #[must_use]
-pub fn launch_service_s(steps: &[DecodeStep], hw: &HardwareConfig) -> f64 {
-    launch_service_s_with_kv(steps, hw, hw.element_bytes)
-}
-
-/// [`launch_service_s`] with every member's KV cache-stream term priced at
-/// `kv_element_bytes` (see [`StreamDemand::of_decode_step_with_kv`]).
-#[must_use]
-pub fn launch_service_s_with_kv(
-    steps: &[DecodeStep],
-    hw: &HardwareConfig,
-    kv_element_bytes: usize,
-) -> f64 {
-    let mut demand = StreamDemand::default();
+pub fn launch_service_s(steps: &[DecodeStep], hw: &HardwareConfig, kv_element_bytes: usize) -> f64 {
+    let mut demand = TrackDemand::default();
     for step in steps {
-        demand.accumulate(&StreamDemand::of_decode_step_with_kv(
-            step,
-            hw,
-            kv_element_bytes,
-        ));
+        demand.accumulate(&TrackDemand::of_decode_step(step, hw, kv_element_bytes));
     }
     demand.bound_seconds(hw) + hw.issue_overhead_cycles as f64 / hw.frequency_hz
-}
-
-/// Service time of one chunked-prefill chunk launch: the chunk's summed
-/// causal-row demand ([`StreamDemand::of_prefill_chunk_with_kv`], the exact
-/// closed-form sum of the decode steps it fuses) bounded by the binding
-/// component, plus one issue overhead per chunk — which is the chunking
-/// trade: more chunks bound the per-launch occupancy that stalls decode,
-/// at one extra issue overhead each.
-#[must_use]
-pub fn prefill_chunk_service_s_with_kv(
-    chunk: &PrefillChunk,
-    hw: &HardwareConfig,
-    kv_element_bytes: usize,
-) -> f64 {
-    StreamDemand::of_prefill_chunk_with_kv(chunk, hw, kv_element_bytes).bound_seconds(hw)
-        + hw.issue_overhead_cycles as f64 / hw.frequency_hz
 }
 
 /// The fate of one completed decode step.
@@ -490,59 +452,30 @@ impl DecodeReport {
     }
 }
 
-/// The decode serving runtime: replays a [`DecodeTrace`] with sticky KV
-/// residency, cross-session step batching and the closed-form decode cost
-/// model, on `devices` virtual devices.
-///
-/// Since the prefill/decode unification this is a thin shim over
-/// [`ServeEngine`]: it runs the engine with an empty prefill stream and
-/// returns the decode-class breakdown, which is bit-identical to the
-/// pre-unification runtime (the engine's event loop performs the same
-/// checks in the same order, and this module's behavioral tests pin it).
-/// Use the engine directly to co-schedule decode with prefill traffic on
-/// one timeline.
-#[derive(Debug, Clone)]
-pub struct DecodeRuntime {
-    hw: HardwareConfig,
-    policy: DecodePolicy,
-    devices: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{EngineConfig, ServeEngine};
+    use mas_attention::PlannerConfig;
+    use mas_dataflow::decode::PrefillChunk;
+    use mas_workloads::{
+        decode_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTrace, DecodeTraceConfig, Network,
+    };
 
-impl DecodeRuntime {
-    /// Creates a runtime for `hw` with the given policy on one device.
-    #[must_use]
-    pub fn new(hw: HardwareConfig, policy: DecodePolicy) -> Self {
-        Self {
-            hw,
-            policy,
-            devices: 1,
-        }
+    fn hw() -> HardwareConfig {
+        HardwareConfig::edge_default()
     }
 
-    /// Sets the number of virtual devices launches replay across.
-    #[must_use]
-    pub fn with_devices(mut self, devices: usize) -> Self {
-        self.devices = devices.max(1);
-        self
-    }
-
-    /// The runtime's policy.
-    #[must_use]
-    pub fn policy(&self) -> &DecodePolicy {
-        &self.policy
-    }
-
-    /// Replays a decode trace and returns the aggregate report. The report
-    /// is a pure function of the trace, the policy and the hardware.
-    #[must_use]
-    pub fn run_trace(&self, trace: &DecodeTrace) -> DecodeReport {
+    /// Replays a decode-only trace through the engine on `devices` virtual
+    /// devices and returns the decode-class report.
+    fn replay_on(policy: DecodePolicy, devices: usize, trace: &DecodeTrace) -> DecodeReport {
         let config = EngineConfig {
             planner: PlannerConfig {
-                hardware: self.hw.clone(),
+                hardware: hw(),
                 ..PlannerConfig::default()
             },
-            decode: self.policy,
-            devices: self.devices,
+            decode: policy,
+            devices,
             ..EngineConfig::default()
         };
         ServeEngine::new(config)
@@ -550,17 +483,9 @@ impl DecodeRuntime {
             .expect("decode-only streams never plan and so never fail")
             .decode
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mas_workloads::{
-        decode_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTraceConfig, Network,
-    };
-
-    fn hw() -> HardwareConfig {
-        HardwareConfig::edge_default()
+    fn replay(policy: DecodePolicy, trace: &DecodeTrace) -> DecodeReport {
+        replay_on(policy, 1, trace)
     }
 
     /// A hand-built trace: `sessions` sessions of `steps` steps each, step i
@@ -601,8 +526,8 @@ mod tests {
         let hw = hw();
         let short = DecodeStep::new("s", 1, 8, 128, 64);
         let long = short.with_context(1024);
-        let lb_short = decode_step_lower_bound_s(&short, &hw);
-        let lb_long = decode_step_lower_bound_s(&long, &hw);
+        let lb_short = decode_step_lower_bound_s(&short, &hw, hw.element_bytes);
+        let lb_long = decode_step_lower_bound_s(&long, &hw, hw.element_bytes);
         assert!(lb_long > lb_short);
         // Linear in context up to the fixed launch overhead.
         let overhead = hw.issue_overhead_cycles as f64 / hw.frequency_hz;
@@ -616,10 +541,10 @@ mod tests {
         let steps: Vec<DecodeStep> = (0..8)
             .map(|i| DecodeStep::new("s", 1, 8, 128 + i, 64))
             .collect();
-        let batched = launch_service_s(&steps, &hw);
+        let batched = launch_service_s(&steps, &hw, hw.element_bytes);
         let solo: f64 = steps
             .iter()
-            .map(|s| launch_service_s(std::slice::from_ref(s), &hw))
+            .map(|s| launch_service_s(std::slice::from_ref(s), &hw, hw.element_bytes))
             .sum();
         assert!(
             batched < solo,
@@ -630,7 +555,7 @@ mod tests {
     #[test]
     fn lockstep_sessions_batch_into_shared_launches() {
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(report.completed(), 24);
         assert_eq!(report.sessions_admitted, 4);
         assert!(report.rejected.is_empty());
@@ -656,7 +581,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 2);
         assert_eq!(report.rejected_sessions.len(), 2);
         assert!(report
@@ -688,8 +613,8 @@ mod tests {
         assert_eq!(base.kv_element_bytes(&hw()), 4);
         assert_eq!(half.kv_element_bytes(&hw()), 2);
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let f32_report = DecodeRuntime::new(hw(), base).run_trace(&trace);
-        let f16_report = DecodeRuntime::new(hw(), half).run_trace(&trace);
+        let f32_report = replay(base, &trace);
+        let f16_report = replay(half, &trace);
         assert_eq!(f32_report.sessions_admitted, 2);
         assert_eq!(f16_report.sessions_admitted, 4);
         assert!(f16_report.rejected.is_empty());
@@ -749,7 +674,7 @@ mod tests {
             kv_block_tokens: None,              // legacy max-context charging
             ..DecodePolicy::default()
         };
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 2, "{}", report.summary());
         assert!(report.rejected_sessions.is_empty());
         assert_eq!(report.completed(), 4);
@@ -763,7 +688,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(5, 2, 16, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 3);
         assert!(report
             .rejected_sessions
@@ -778,7 +703,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(1, 3, 16, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.completed(), 0);
         assert_eq!(report.rejected.len(), 3);
         assert!(report
@@ -794,7 +719,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(2, 4, 16, 0.05);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.completed(), 8);
         assert_eq!(report.deadline_missed(), 0);
     }
@@ -821,7 +746,7 @@ mod tests {
                 arrival_s: 0.0,
             }],
         };
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(
             report.rejected_sessions,
             vec![(0, DecodeRejectReason::InfeasibleSession)]
@@ -884,7 +809,7 @@ mod tests {
             kv_block_tokens: None, // legacy max-context charging
             ..DecodePolicy::default()
         };
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(
             report.sessions_admitted,
             2,
@@ -925,7 +850,7 @@ mod tests {
                 },
             ],
         };
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(report.rejected.len(), 1);
         assert_eq!(
             report.rejected[0].reason,
@@ -956,8 +881,8 @@ mod tests {
             DecodePolicy::default().max_steps_per_launch
         );
         let trace = lockstep_trace(3, 4, 16, 0.01);
-        let with_zero = DecodeRuntime::new(hw(), zero).run_trace(&trace);
-        let with_one = DecodeRuntime::new(hw(), one).run_trace(&trace);
+        let with_zero = replay(zero, &trace);
+        let with_one = replay(one, &trace);
         assert_eq!(with_zero, with_one);
         // Size-1 launches: nothing ever coalesces.
         assert_eq!(with_zero.launches, with_zero.completed());
@@ -965,32 +890,26 @@ mod tests {
 
     #[test]
     fn chunk_service_time_matches_its_fused_decode_steps() {
-        // A chunk's service time is the fused decode chain's demand bound
-        // plus ONE issue overhead (that is the fusion saving), priced under
-        // any KV dtype.
+        // A chunk's service time (its demand bound plus one issue overhead,
+        // as the engine prices chunk launches) is the fused decode chain's
+        // demand bound plus ONE issue overhead (that is the fusion saving),
+        // priced under any KV dtype.
         let hw = hw();
+        let overhead = hw.issue_overhead_cycles as f64 / hw.frequency_hz;
+        let chunk_service = |chunk: &PrefillChunk, kv_eb: usize| {
+            TrackDemand::of_prefill_chunk(chunk, &hw, kv_eb).bound_seconds(&hw) + overhead
+        };
         let chunk = PrefillChunk::new(1, 8, 64, 16, 64);
         for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
-            let fused = prefill_chunk_service_s_with_kv(&chunk, &hw, kv_eb);
-            let chain = launch_service_s_with_kv(&chunk.decode_steps(), &hw, kv_eb);
+            let fused = chunk_service(&chunk, kv_eb);
+            let chain = launch_service_s(&chunk.decode_steps(), &hw, kv_eb);
             assert!((fused - chain).abs() < 1e-15, "fused {fused} chain {chain}");
         }
         // More chunks over the same prompt slice can only add issue
         // overheads.
-        let whole = prefill_chunk_service_s_with_kv(
-            &PrefillChunk::new(1, 8, 0, 128, 64),
-            &hw,
-            hw.element_bytes,
-        );
-        let halves = prefill_chunk_service_s_with_kv(
-            &PrefillChunk::new(1, 8, 0, 64, 64),
-            &hw,
-            hw.element_bytes,
-        ) + prefill_chunk_service_s_with_kv(
-            &PrefillChunk::new(1, 8, 64, 64, 64),
-            &hw,
-            hw.element_bytes,
-        );
+        let whole = chunk_service(&PrefillChunk::new(1, 8, 0, 128, 64), hw.element_bytes);
+        let halves = chunk_service(&PrefillChunk::new(1, 8, 0, 64, 64), hw.element_bytes)
+            + chunk_service(&PrefillChunk::new(1, 8, 64, 64, 64), hw.element_bytes);
         assert!(halves > whole);
     }
 
@@ -999,8 +918,8 @@ mod tests {
         let hw = hw();
         let step = DecodeStep::new("s", 1, 8, 333, 64);
         assert_eq!(
-            decode_step_lower_bound_s(&step, &hw),
-            launch_service_s(std::slice::from_ref(&step), &hw)
+            decode_step_lower_bound_s(&step, &hw, hw.element_bytes),
+            launch_service_s(std::slice::from_ref(&step), &hw, hw.element_bytes)
         );
     }
 
@@ -1009,9 +928,8 @@ mod tests {
         let cfg =
             DecodeTraceConfig::poisson(vec![Network::BertSmall, Network::T5Mini], 20, 200.0, 9);
         let trace = decode_trace(&cfg);
-        let runtime = DecodeRuntime::new(hw(), DecodePolicy::default());
-        let a = runtime.run_trace(&trace);
-        let b = runtime.run_trace(&trace);
+        let a = replay(DecodePolicy::default(), &trace);
+        let b = replay(DecodePolicy::default(), &trace);
         assert_eq!(a, b);
         assert_eq!(a.completed() + a.rejected.len(), trace.total_steps());
         assert!(a.steps_per_s() > 0.0);
@@ -1027,7 +945,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(3, 2, 16, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.launches, 6, "every step launches alone");
         assert!((report.mean_launch_size() - 1.0).abs() < 1e-12);
     }
@@ -1039,13 +957,8 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(6, 4, 512, 0.0);
-        let one = DecodeRuntime::new(hw(), policy)
-            .run_trace(&trace)
-            .makespan_s;
-        let two = DecodeRuntime::new(hw(), policy)
-            .with_devices(2)
-            .run_trace(&trace)
-            .makespan_s;
+        let one = replay_on(policy, 1, &trace).makespan_s;
+        let two = replay_on(policy, 2, &trace).makespan_s;
         assert!(two < one, "two devices ({two} s) must beat one ({one} s)");
     }
 
@@ -1056,7 +969,7 @@ mod tests {
         // worst case the legacy policy would reserve.
         let trace = lockstep_trace(1, 4, 8, 0.01);
         let step_at = |t: usize| DecodeStep::new("s", 1, 8, t, 64);
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(report.completed(), 4);
         assert_eq!(report.pool_overflows(), 0);
         // Context ends at 12 tokens: still one 16-token block.
@@ -1083,7 +996,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(1, 30, 8, 0.01); // context 9..=38
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 1);
         assert!(report.rejected_sessions.is_empty(), "sessions are kept");
         // Steps up to context 32 run: contexts 9..=32 are steps 0..=23.
@@ -1108,7 +1021,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(1, 40, 8, 0.01); // context would reach 48
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.completed(), 0);
         assert_eq!(report.rejected.len(), 40);
         // Admission charged ceil(9 / 16) = 1 block; screened steps added
@@ -1127,9 +1040,8 @@ mod tests {
             }
             t
         };
-        let runtime = DecodeRuntime::new(hw(), DecodePolicy::default());
-        let mha = runtime.run_trace(&mk_trace(8));
-        let gqa = runtime.run_trace(&mk_trace(2));
+        let mha = replay(DecodePolicy::default(), &mk_trace(8));
+        let gqa = replay(DecodePolicy::default(), &mk_trace(2));
         assert_eq!(mha.completed(), gqa.completed());
         assert_eq!(gqa.kv_peak_bytes * 4, mha.kv_peak_bytes);
         // GQA steps stream less DRAM, so they can only be faster.
@@ -1148,7 +1060,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert!(report.sessions_admitted < 4, "{}", report.summary());
         assert!(report.kv_peak_bytes > 0);
         assert!(report.kv_peak_bytes <= per_session);
@@ -1157,7 +1069,7 @@ mod tests {
             kv_block_tokens: Some(1),
             ..policy
         };
-        let with_one = DecodeRuntime::new(hw(), one).run_trace(&trace);
+        let with_one = replay(one, &trace);
         assert_eq!(report.outcomes, with_one.outcomes);
         assert_eq!(report.kv_peak_bytes, with_one.kv_peak_bytes);
     }
@@ -1166,7 +1078,7 @@ mod tests {
     fn invalid_head_grouping_rejects_the_session_not_panics() {
         let mut trace = lockstep_trace(1, 2, 16, 0.01);
         trace.sessions[0].kv_heads = 3; // 8 % 3 != 0
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(
             report.rejected_sessions,
             vec![(0, DecodeRejectReason::InfeasibleSession)]
@@ -1186,12 +1098,12 @@ mod tests {
         for s in &mut trace.sessions {
             s.steps = 100;
         }
-        let paged = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let paged = replay(DecodePolicy::default(), &trace);
         let legacy_policy = DecodePolicy {
             kv_block_tokens: None,
             ..DecodePolicy::default()
         };
-        let legacy = DecodeRuntime::new(hw(), legacy_policy).run_trace(&trace);
+        let legacy = replay(legacy_policy, &trace);
         assert_eq!(paged.outcomes, legacy.outcomes);
         assert_eq!(paged.launches, legacy.launches);
         assert!(paged.kv_peak_bytes < legacy.kv_peak_bytes);

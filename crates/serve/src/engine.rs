@@ -1,21 +1,18 @@
 //! The unified prefill+decode serve engine: one mixed request stream, one
 //! earliest-free device timeline, one shared memory budget.
 //!
-//! Historically `mas-serve` replayed prefill requests ([`ServeRuntime`])
-//! and decode sessions ([`DecodeRuntime`]) on two disjoint virtual-device
-//! timelines, so the two traffic classes could never contend — a prefill
-//! burst could not delay a decode step, and decode KV residency could not
-//! squeeze prefill admission. [`ServeEngine`] merges both classes into one
-//! interleaved work stream:
+//! [`ServeEngine`] is the crate's one serving entry point. It replays
+//! prefill requests and decode sessions as one interleaved work stream, so
+//! the two traffic classes contend — a prefill burst can delay a decode
+//! step, and decode KV residency can squeeze prefill admission:
 //!
 //! * **One work item type.** Every unit of schedulable work is a
 //!   [`WorkItem`] — a prefill request or a decode step — and coalesces in
 //!   one launch map keyed by the typed [`LaunchKey`], with one launch-id
 //!   space. Prefill items micro-batch under [`BatchPolicy`]
 //!   (window / fill / feasibility dispatch) and decode items batch
-//!   cross-session under [`DecodePolicy`] (window / fill), exactly as the
-//!   legacy runtimes did — the mechanism is shared, the per-class policies
-//!   are preserved.
+//!   cross-session under [`DecodePolicy`] (window / fill) — the mechanism
+//!   is shared, the per-class dispatch rules differ.
 //! * **One device timeline.** Every dispatched launch — either class —
 //!   starts on the earliest-free virtual device at
 //!   `max(device_free, ready)`, so the classes genuinely contend for
@@ -72,7 +69,7 @@
 //!    requests never coalesce: the chain id is part of the launch key.
 //!    This holds under any batching window, including `window_s = 0.0`.
 //!    Chunk service times split the monolithic plan's seconds
-//!    proportionally to each chunk's closed-form stream demand, plus one
+//!    proportionally to each chunk's closed-form demand bound, plus one
 //!    launch-issue overhead per chunk after the first — chunking is priced
 //!    as issue overhead, never as replanning the batch.
 //! 2. **Budget charged once per chain.** A chunked batch charges its
@@ -90,37 +87,21 @@
 //!    step's launch ([`PreemptMode::Recompute`]). Steps are shed only
 //!    through the pre-existing screening and overflow paths.
 //!
-//! ## Backward equivalence
+//! ## Single-class streams
 //!
-//! A prefill-only stream through the engine reproduces the legacy
-//! [`ServeReport`] bit-identically, and a decode-only trace reproduces the
-//! legacy [`DecodeReport`] bit-identically: the event loop performs the
-//! same checks in the same order as the two legacy runtimes, launch-id
-//! assignment and device selection are unchanged, and with a single class
-//! present the scheduling policy degenerates to launch-creation order.
-//! [`ServeRuntime`] and [`DecodeRuntime`] are thin shims over this engine
-//! — the prefill shim additionally *disables* the shared budget (the
-//! legacy runtime had none), so its replays match the pre-unification
-//! behavior in every regime; a prefill-only stream through a
-//! default-budget engine matches too except in memory-bound corners where
-//! the budget sheds load the legacy path would have queued. The legacy
-//! runtimes' extensive behavioral suites (which pin absolute latencies,
-//! counts and orderings, not engine-vs-engine consistency) run through the
-//! shims on every build and are the substantive equivalence pin; the
-//! `engine_equivalence` suite adds shim/engine consistency, policy
-//! invariance on single-class streams, and the per-class report collapse.
+//! With a single class present the scheduling policy degenerates to
+//! launch-creation order, and the other class's report stays at its
+//! default. The `engine_equivalence` suite pins policy invariance on
+//! single-class streams and the per-class report collapse.
 //!
 //! Planning: prefill launches are planned through the shared
-//! [`ScheduleCache`] exactly as before. For prefill-only runs the engine
-//! pre-plans the unique uncached batch keys — concurrently when
-//! [`EngineConfig::parallel_planning`] is set — before replaying, which
-//! preserves the legacy pooled-planning speedup; mixed runs plan misses
-//! on demand at dispatch (batch composition can depend on cross-class
-//! contention there). Either way the cache changes wall-clock planning
-//! cost only, never results.
+//! [`ScheduleCache`]. For prefill-only runs the engine pre-plans the
+//! unique uncached batch keys — concurrently when
+//! [`EngineConfig::parallel_planning`] is set — before replaying; mixed
+//! runs plan misses on demand at dispatch (batch composition can depend on
+//! cross-class contention there). Either way the cache changes wall-clock
+//! planning cost only, never results.
 //!
-//! [`ServeRuntime`]: crate::runtime::ServeRuntime
-//! [`DecodeRuntime`]: crate::decode::DecodeRuntime
 //! [`DecodeRejectReason::KvPoolExhausted`]: crate::decode::DecodeRejectReason::KvPoolExhausted
 //! [`RejectReason::MemoryPressure`]: crate::queue::RejectReason::MemoryPressure
 
@@ -131,19 +112,19 @@ use serde::{Deserialize, Serialize};
 
 use mas_attention::planner::TilingStrategy;
 use mas_attention::{Planner, PlannerConfig};
-use mas_dataflow::decode::{decode_step_fits_with_kv, DecodeStep, PrefillChunk};
-use mas_dataflow::{AttentionWorkload, StreamDemand, TrackDemand};
+use mas_dataflow::decode::{decode_step_fits, DecodeStep, PrefillChunk};
+use mas_dataflow::{AttentionWorkload, TrackDemand};
 use mas_sim::{
-    DeviceTracks, HardwareConfig, Result, StageSpan, TrackConfig, TrackKind, TrackPlacement,
-    TRACK_COUNT,
+    DeviceTracks, HardwareConfig, Result, SimError, StageSpan, TrackConfig, TrackKind,
+    TrackPlacement, TRACK_COUNT,
 };
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTrace};
 
 use crate::batcher::{coalesce, BatchPolicy};
 use crate::cache::{CacheKey, CachedPlan, ScheduleCache};
 use crate::decode::{
-    decode_step_lower_bound_s_with_kv, launch_service_s_with_kv, prefill_chunk_service_s_with_kv,
-    DecodePolicy, DecodeRejectReason, DecodeReport, DecodeStepOutcome, RejectedDecodeStep,
+    decode_step_lower_bound_s, DecodePolicy, DecodeRejectReason, DecodeReport, DecodeStepOutcome,
+    RejectedDecodeStep,
 };
 use crate::key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
 use crate::metrics::{LatencyStats, RejectedRequest, RequestOutcome, ServeReport};
@@ -167,8 +148,7 @@ pub enum SchedulePolicy {
     /// protects time-to-first-token / prefill throughput under decode load.
     PrefillPriority,
     /// Launches dispatch strictly in creation (arrival) order regardless of
-    /// class — the default, and the order both legacy single-class runtimes
-    /// used.
+    /// class — the default.
     #[default]
     FairShare,
 }
@@ -384,8 +364,8 @@ impl EngineConfig {
 }
 
 /// Aggregate result of replaying one mixed trace: the per-class breakdowns
-/// (each bit-identical to the corresponding legacy report when the other
-/// class is absent) plus the shared-timeline and shared-budget figures.
+/// (the absent class's report stays at its default on a single-class
+/// stream) plus the shared-timeline and shared-budget figures.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineReport {
     /// The scheduling policy the replay ran under.
@@ -626,22 +606,26 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns a [`mas_sim::SimError`] if a prefill batch that passed
-    /// admission fails to plan or simulate. Decode-only streams never plan
-    /// and so never fail.
+    /// Returns [`SimError::InvalidConfig`] before any work if a prefill
+    /// request or decode step has a non-finite or negative arrival time, or
+    /// a prefill request has a non-finite or negative deadline. Otherwise
+    /// returns a [`mas_sim::SimError`] if a prefill batch that passed
+    /// admission fails to plan or simulate; decode steps never plan and so
+    /// never fail.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
+        validate_inputs(prefill, decode)?;
         let hw = self.planner.hardware().clone();
 
         // Pre-plan prefill-only runs: the batch composition of a pure
-        // prefill stream is independent of the timeline, so the legacy
-        // coalesce pass predicts it exactly and the unique uncached keys
-        // can plan up front — concurrently when configured — just as the
-        // legacy runtime did. The prediction is only a planning warm-up:
-        // the event loop below is authoritative, and if a binding shared
-        // budget sheds prefill load (something `coalesce` does not model),
-        // the drifted batches simply plan on demand at dispatch. Mixed
-        // runs skip the warm-up entirely (composition there can depend on
-        // cross-class contention) and plan misses at dispatch.
+        // prefill stream is independent of the timeline, so the coalesce
+        // pass predicts it exactly and the unique uncached keys can plan
+        // up front — concurrently when configured. The prediction is only
+        // a planning warm-up: the event loop below is authoritative, and
+        // if a binding shared budget sheds prefill load (something
+        // `coalesce` does not model), the drifted batches simply plan on
+        // demand at dispatch. Mixed runs skip the warm-up entirely
+        // (composition there can depend on cross-class contention) and
+        // plan misses at dispatch.
         let mut inserted_this_run: BTreeSet<CacheKey> = BTreeSet::new();
         if decode.steps.is_empty() && !prefill.is_empty() {
             let coalesced = coalesce(
@@ -867,6 +851,41 @@ impl ServeEngine {
     }
 }
 
+/// Rejects inputs the event loop cannot order or judge: a non-finite or
+/// negative arrival time on a prefill request or decode step, and a
+/// non-finite or negative prefill deadline.
+fn validate_inputs(prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<()> {
+    let bad = |t: f64| !(t.is_finite() && t >= 0.0);
+    let problem = prefill
+        .iter()
+        .find_map(|r| {
+            if bad(r.arrival_s) {
+                Some(format!(
+                    "prefill request {} arrives at {} s",
+                    r.id, r.arrival_s
+                ))
+            } else {
+                let deadline = r.deadline_s.filter(|&d| bad(d))?;
+                Some(format!(
+                    "prefill request {} has deadline {deadline} s",
+                    r.id
+                ))
+            }
+        })
+        .or_else(|| {
+            let e = decode.steps.iter().find(|e| bad(e.arrival_s))?;
+            Some(format!(
+                "decode step {} of session {} arrives at {} s",
+                e.step_index, e.session_id, e.arrival_s
+            ))
+        });
+    problem.map_or(Ok(()), |what| {
+        Err(SimError::InvalidConfig {
+            reason: format!("{what}; times must be finite and non-negative"),
+        })
+    })
+}
+
 /// Plans one uncached prefill key: tiling via the plan-only entry point,
 /// then one simulated execution. Pure function of its arguments.
 pub(crate) fn plan_one(
@@ -962,14 +981,14 @@ struct ChunkChain {
     cache_hit: bool,
     chunk_sizes: Vec<usize>,
     /// Per-chunk service seconds: the monolithic plan's seconds split
-    /// proportionally to each chunk's closed-form stream demand, plus one
+    /// proportionally to each chunk's closed-form demand bound, plus one
     /// launch-issue overhead for every chunk after the first (the modeled
     /// cost of chunking). The chain's total service is therefore the
     /// monolithic service plus `(chunks - 1)` issue overheads.
     chunk_service_s: Vec<f64>,
-    /// Per-chunk four-track demands for the overlap executor; empty with
-    /// the track executor off (the chunk shapes are gone by placement
-    /// time, so the demands are precomputed at dispatch).
+    /// Per-chunk demands, which priced the split above and profile each
+    /// chunk for the overlap executor (the chunk shapes are gone by
+    /// placement time, so the demands are precomputed at dispatch).
     chunk_demands: Vec<TrackDemand>,
     /// Index of the next chunk to place (`chunk_sizes.len()` = all placed).
     next_index: usize,
@@ -1179,10 +1198,10 @@ pub(crate) fn note_kv_peak(
     report.kv_shared_peak_bytes = report.kv_shared_peak_bytes.max(shared);
 }
 
-/// All mutable state of one engine replay. Methods mirror the legacy
-/// runtimes' event-loop stages check for check; the comments note the few
-/// places where the unified path adds shared-budget or cross-class
-/// behavior (all of which are no-ops for single-class streams).
+/// All mutable state of one engine replay. Methods follow the event-loop
+/// stages (admit, batch, dispatch, release); the comments note where the
+/// shared budget or cross-class behavior enters (all of which are no-ops
+/// for single-class streams).
 struct EngineRun<'a> {
     config: &'a EngineConfig,
     planner: &'a Planner,
@@ -1305,7 +1324,7 @@ impl EngineRun<'_> {
     ) -> Option<TrackPlacement> {
         let cfg = self.config.tracks?;
         let stage_s: Option<Vec<[f64; TRACK_COUNT]>> = profile.and_then(|(demand, issue_s)| {
-            let bound = demand.stream().bound_seconds(&self.hw);
+            let bound = demand.bound_seconds(&self.hw);
             if bound <= 0.0 {
                 return None;
             }
@@ -1351,8 +1370,7 @@ impl EngineRun<'_> {
         None
     }
 
-    /// The earliest-free virtual device (first index on ties — the same
-    /// selection both legacy runtimes used).
+    /// The earliest-free virtual device (first index on ties).
     fn earliest_free_device(&self) -> usize {
         self.free_at
             .iter()
@@ -1449,16 +1467,16 @@ impl EngineRun<'_> {
             0.0
         };
         let cache_hit = chain.cache_hit;
-        // The chunk's track profile (empty with the executor off). Chunks
+        // The chunk's track profile (none with the executor off). Chunks
         // after the first carry the one launch-issue overhead their service
         // time was charged with.
-        let profile = chain.chunk_demands.get(index).map(|d| {
+        let profile = self.tracks.is_some().then(|| {
             let issue_s = if index > 0 {
                 self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz
             } else {
                 0.0
             };
-            (*d, issue_s)
+            (chain.chunk_demands[index], issue_s)
         });
         let key = LaunchKey::PrefillChunk(ChunkKey {
             chain: chain_id,
@@ -2114,7 +2132,7 @@ impl EngineRun<'_> {
             // it for malformed specs. The budget check sees resident
             // prefill activations too — the cross-class squeeze.
             let verdict = if !grouping_valid
-                || !decode_step_fits_with_kv(
+                || !decode_step_fits(
                     &session.step_at(session.spec.max_context()),
                     self.config.decode.kv_tile_rows,
                     &self.hw,
@@ -2273,8 +2291,7 @@ impl EngineRun<'_> {
         );
         if let Some(deadline) = self.config.decode.step_deadline_s {
             let step = session.step_at(context_len);
-            if deadline < decode_step_lower_bound_s_with_kv(&step, &self.hw, self.kv_element_bytes)
-            {
+            if deadline < decode_step_lower_bound_s(&step, &self.hw, self.kv_element_bytes) {
                 session.rejected_steps += 1;
                 // A session whose every remaining step is screened out
                 // must still release its KV residency.
@@ -2571,19 +2588,13 @@ impl EngineRun<'_> {
             if chunk_sizes.len() > 1 {
                 let chain_id = launch_id;
                 // Split the monolithic plan's seconds across chunks in
-                // proportion to each chunk's closed-form stream demand
-                // (later chunks re-stream more prior KV, so they cost
-                // more per token); every chunk after the first adds one
-                // launch-issue overhead.
+                // proportion to each chunk's closed-form demand bound plus
+                // issue overhead (later chunks re-stream more prior KV, so
+                // they cost more per token); every chunk after the first
+                // adds one launch-issue overhead.
                 let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
                 let mut prefilled = 0usize;
-                let mut chunk_demands: Vec<TrackDemand> =
-                    Vec::with_capacity(if self.tracks.is_some() {
-                        chunk_sizes.len()
-                    } else {
-                        0
-                    });
-                let raw: Vec<f64> = chunk_sizes
+                let chunk_demands: Vec<TrackDemand> = chunk_sizes
                     .iter()
                     .map(|&tokens| {
                         let chunk = PrefillChunk::new(
@@ -2594,15 +2605,12 @@ impl EngineRun<'_> {
                             batch_key.embed,
                         );
                         prefilled += tokens;
-                        if self.tracks.is_some() {
-                            chunk_demands.push(TrackDemand::of_prefill_chunk_with_kv(
-                                &chunk,
-                                &self.hw,
-                                self.kv_element_bytes,
-                            ));
-                        }
-                        prefill_chunk_service_s_with_kv(&chunk, &self.hw, self.kv_element_bytes)
+                        TrackDemand::of_prefill_chunk(&chunk, &self.hw, self.kv_element_bytes)
                     })
+                    .collect();
+                let raw: Vec<f64> = chunk_demands
+                    .iter()
+                    .map(|demand| demand.bound_seconds(&self.hw) + issue_s)
                     .collect();
                 let raw_sum: f64 = raw.iter().sum();
                 let chunk_service_s: Vec<f64> = raw
@@ -2689,86 +2697,30 @@ impl EngineRun<'_> {
                 WorkItem::Prefill(_) => unreachable!("decode launches hold decode items"),
             })
             .collect();
-        let steps: Vec<DecodeStep> = pending
-            .iter()
-            .map(|p| {
-                DecodeStep::new(
-                    "decode",
-                    1,
-                    decode_key.heads,
-                    p.context_len,
-                    decode_key.embed,
-                )
-                .with_kv_heads(decode_key.kv_heads)
-            })
-            .collect();
-        // Recompute-priced resumes fold their evicted context back in as a
-        // prefill-chunk demand on the same launch; without any, the legacy
-        // closed form applies verbatim (bit-identical).
-        let service_s = if pending.iter().any(|p| p.recompute_tokens > 0) {
-            let mut demand = StreamDemand::default();
-            for step in &steps {
-                demand.accumulate(&StreamDemand::of_decode_step_with_kv(
-                    step,
-                    &self.hw,
-                    self.kv_element_bytes,
-                ));
+        // The launch's demand: member steps plus, for recompute-priced
+        // resumes, their evicted context folded back in as a prefill-chunk
+        // demand (integer sums, so member order cannot change it). The
+        // scalar service time is its bound plus one issue overhead; the
+        // track profile keeps the overhead as a separate term the
+        // flow-shop can hide under the KV stream.
+        let (hw, kv_element_bytes) = (&self.hw, self.kv_element_bytes);
+        let mut demand = TrackDemand::default();
+        // One step shape per launch key; only the context varies by member.
+        let mut step = DecodeStep::new("decode", 1, decode_key.heads, 1, decode_key.embed)
+            .with_kv_heads(decode_key.kv_heads);
+        for p in &pending {
+            step.context_len = p.context_len;
+            demand.accumulate(&TrackDemand::of_decode_step(&step, hw, kv_element_bytes));
+            if p.recompute_tokens > 0 {
+                let chunk =
+                    PrefillChunk::new(1, decode_key.heads, 0, p.recompute_tokens, decode_key.embed)
+                        .with_kv_heads(decode_key.kv_heads);
+                demand.accumulate(&TrackDemand::of_prefill_chunk(&chunk, hw, kv_element_bytes));
             }
-            for p in &pending {
-                if p.recompute_tokens > 0 {
-                    let chunk = PrefillChunk::new(
-                        1,
-                        decode_key.heads,
-                        0,
-                        p.recompute_tokens,
-                        decode_key.embed,
-                    )
-                    .with_kv_heads(decode_key.kv_heads);
-                    demand.accumulate(&StreamDemand::of_prefill_chunk_with_kv(
-                        &chunk,
-                        &self.hw,
-                        self.kv_element_bytes,
-                    ));
-                }
-            }
-            demand.bound_seconds(&self.hw)
-                + self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz
-        } else {
-            launch_service_s_with_kv(&steps, &self.hw, self.kv_element_bytes)
-        };
-        // The launch's four-track demand (same step + recompute-chunk sum
-        // as the scalar service, split by direction); the decode issue
-        // overhead is explicit in the scalar closed form, so it stays a
-        // separate term the flow-shop can hide under the KV stream.
-        let profile = self.tracks.is_some().then(|| {
-            let mut demand = TrackDemand::default();
-            for step in &steps {
-                demand.accumulate(&TrackDemand::of_decode_step_with_kv(
-                    step,
-                    &self.hw,
-                    self.kv_element_bytes,
-                ));
-            }
-            for p in &pending {
-                if p.recompute_tokens > 0 {
-                    let chunk = PrefillChunk::new(
-                        1,
-                        decode_key.heads,
-                        0,
-                        p.recompute_tokens,
-                        decode_key.embed,
-                    )
-                    .with_kv_heads(decode_key.kv_heads);
-                    demand.accumulate(&TrackDemand::of_prefill_chunk_with_kv(
-                        &chunk,
-                        &self.hw,
-                        self.kv_element_bytes,
-                    ));
-                }
-            }
-            let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
-            (demand, issue_s)
-        });
+        }
+        let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
+        let service_s = demand.bound_seconds(&self.hw) + issue_s;
+        let profile = self.tracks.is_some().then_some((demand, issue_s));
         let mut device = self.earliest_free_device();
         let mut start_s = self.free_at[device].max(ready_s);
         let mut requeue: Option<StagedSpan> = None;

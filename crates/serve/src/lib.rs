@@ -13,9 +13,9 @@
 //!        ┌────────┐   ┌─────────┐   ┌──────────────┐   ┌──────────┐   ┌────────┐
 //! req ──▶│ admit  │──▶│  batch  │──▶│ plan / cache │──▶│ simulate │──▶│ report │
 //!        └────────┘   └─────────┘   └──────────────┘   └──────────┘   └────────┘
-//!         shed load    coalesce +     tune once,         mas-sim        per-request
-//!         (queue.rs)   micro-batch    replay forever     executor       latency/energy/
-//!                      (batcher.rs)   (cache.rs)         (runtime.rs)   deadline (metrics.rs)
+//!         shed load    coalesce +     tune once,         device         per-request
+//!         (queue.rs)   micro-batch    replay forever     timeline       latency/energy/
+//!                      (batcher.rs)   (cache.rs)         (engine.rs)    deadline (metrics.rs)
 //! ```
 //!
 //! 1. **Admit** ([`queue`]) — each arrival is screened: infeasible
@@ -36,7 +36,7 @@
 //!    serialize to a versioned text format and merge commutatively and
 //!    associatively, so sharded tuning sweeps combine into one cache equal
 //!    to the jointly built one.
-//! 4. **Simulate** ([`runtime`]) — batches launch in ready order across
+//! 4. **Simulate** ([`engine`]) — batches launch in ready order across
 //!    virtual devices; the deterministic timeline yields per-request start,
 //!    completion and queueing delay.
 //! 5. **Report** ([`metrics`]) — a [`ServeReport`] with per-request
@@ -84,24 +84,25 @@
 //!   coalesce into one batched launch within a window, amortizing the
 //!   per-launch issue overhead that dominates single-token kernels.
 //! * Launch cost comes from the closed-form decode model
-//!   ([`mas_dataflow::decode::DecodeStep`]): per-step work linear in the
-//!   context length, DRAM traffic of the cache stream plus only the
-//!   new-token operand rows. The numerical kernel this models —
+//!   ([`mas_dataflow::decode::DecodeStep`], lowered into the same
+//!   [`mas_dataflow::TrackDemand`] prefill launches are costed with):
+//!   per-step work linear in the context length, DRAM traffic of the cache
+//!   stream plus only the new-token operand rows. The numerical kernel this models —
 //!   `mas_tensor::decode::decode_attention` over a per-session
 //!   `mas_tensor::decode::KvCache` — is pinned step-by-step against the
 //!   full-prefill oracle by the differential `decode_vs_prefill` test
 //!   harness.
 //!
-//! [`DecodeRuntime::run_trace`] replays a deterministic
-//! [`mas_workloads::DecodeTrace`] and yields a [`DecodeReport`] with
-//! per-step latency, batching factor, deadline verdicts and peak KV
-//! residency.
+//! Replaying a deterministic [`mas_workloads::DecodeTrace`] yields a
+//! [`DecodeReport`] with per-step latency, batching factor, deadline
+//! verdicts and peak KV residency.
 //!
 //! ## The unified engine ([`engine`])
 //!
-//! Both pipelines above are thin shims over [`ServeEngine`], which admits,
-//! batches and replays a **mixed** prefill+decode stream on one
-//! earliest-free device timeline with one shared memory budget:
+//! Both pipelines above run in [`ServeEngine`], the one serving entry
+//! point, which admits, batches and replays a **mixed** prefill+decode
+//! stream on one earliest-free device timeline with one shared memory
+//! budget:
 //!
 //! ```text
 //! prefill ──┐   ┌───────────────────────┐   ┌──────────────────────────┐
@@ -118,10 +119,10 @@
 //! footprints plus decode KV residency charge one budget, so a prefill
 //! burst can shed decode block growth (pool overflows) and a heavy decode
 //! residency can shed prefill arrivals
-//! ([`RejectReason::MemoryPressure`]). Single-class streams through the
-//! engine are bit-identical to the legacy reports (pinned by test), and an
-//! [`EngineReport`] breaks a mixed replay down per class with shared
-//! [`LatencyStats`].
+//! ([`RejectReason::MemoryPressure`]). An [`EngineReport`] breaks a replay
+//! down per class ([`ServeReport`] for prefill, [`DecodeReport`] for
+//! decode) with shared [`LatencyStats`]; a single-class stream leaves the
+//! other class's report at its default.
 //!
 //! With [`EngineConfig::tracks`](engine::EngineConfig::tracks) set, the
 //! scalar one-number-per-launch device model gives way to the
@@ -138,8 +139,8 @@
 //!
 //! ```
 //! use mas_dataflow::DataflowKind;
-//! use mas_serve::{ServeConfig, ServeRequest, ServeRuntime};
-//! use mas_workloads::{request_trace, Network, TraceConfig};
+//! use mas_serve::{EngineConfig, ServeEngine, ServeRequest};
+//! use mas_workloads::{request_trace, DecodeTrace, Network, TraceConfig};
 //!
 //! let trace = request_trace(&TraceConfig::poisson(
 //!     vec![Network::BertSmall, Network::VitB16],
@@ -148,8 +149,8 @@
 //!     42,   // seed
 //! ));
 //! let stream = ServeRequest::stream_from_trace(&trace, DataflowKind::MasAttention, Some(0.05));
-//! let mut runtime = ServeRuntime::new(ServeConfig::default());
-//! let report = runtime.run_trace(&stream).unwrap();
+//! let mut engine = ServeEngine::new(EngineConfig::default());
+//! let report = engine.run(&stream, &DecodeTrace::empty()).unwrap().prefill;
 //! assert_eq!(report.completed() + report.rejected.len(), 16);
 //! assert!(report.throughput_rps() > 0.0);
 //! ```
@@ -165,7 +166,6 @@ pub mod key;
 pub mod metrics;
 pub mod queue;
 pub mod request;
-pub mod runtime;
 pub mod telemetry;
 
 pub use batcher::{Batch, BatchPolicy};
@@ -173,9 +173,8 @@ pub use cache::{
     hardware_fingerprint, planning_fingerprint, CacheError, CacheKey, CachedPlan, ScheduleCache,
 };
 pub use decode::{
-    decode_step_lower_bound_s, decode_step_lower_bound_s_with_kv, launch_service_s,
-    launch_service_s_with_kv, prefill_chunk_service_s_with_kv, DecodePolicy, DecodeRejectReason,
-    DecodeReport, DecodeRuntime, DecodeStepOutcome, RejectedDecodeStep,
+    decode_step_lower_bound_s, launch_service_s, DecodePolicy, DecodeRejectReason, DecodeReport,
+    DecodeStepOutcome, RejectedDecodeStep,
 };
 pub use engine::{
     ChunkPolicy, DecodeStepItem, DeviceUtil, EngineConfig, EngineReport, PreemptMode,
@@ -189,7 +188,6 @@ pub use metrics::{
 };
 pub use queue::{AdmissionPolicy, RejectReason};
 pub use request::ServeRequest;
-pub use runtime::{ServeConfig, ServeRuntime};
 pub use telemetry::{
     chrome_trace_from_sim, validate_chrome_trace, ChromeTraceStats, ConservationStats, EngineEvent,
     EventKind, LogHistogram, MemOwner, PeakAttribution, PreemptVictim, SealCause, Telemetry,

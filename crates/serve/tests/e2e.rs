@@ -1,15 +1,16 @@
-//! End-to-end tests of the serving runtime: determinism (serial vs. pooled
-//! planning), shard-merge equality through serialized caches, and
-//! deadline-miss accounting.
+//! End-to-end tests of prefill serving through the engine: plan sharing,
+//! queueing and load shedding, determinism (serial vs. pooled planning),
+//! shard-merge equality through serialized caches, and deadline-miss
+//! accounting.
 
 use mas_attention::planner::{PlannerConfig, TilingStrategy};
-use mas_dataflow::DataflowKind;
+use mas_dataflow::{AttentionWorkload, DataflowKind};
 use mas_search::tuner::TunerConfig;
 use mas_serve::{
-    AdmissionPolicy, BatchPolicy, ScheduleCache, ServeConfig, ServeReport, ServeRequest,
-    ServeRuntime,
+    AdmissionPolicy, BatchPolicy, EngineConfig, RejectReason, RequestOutcome, ScheduleCache,
+    ServeEngine, ServeReport, ServeRequest,
 };
-use mas_workloads::{request_trace, Network, TraceConfig};
+use mas_workloads::{request_trace, DecodeTrace, Network, TraceConfig};
 
 fn nets() -> Vec<Network> {
     vec![Network::BertSmall, Network::VitB16, Network::T5Mini]
@@ -20,11 +21,167 @@ fn stream(count: usize, seed: u64) -> Vec<ServeRequest> {
     ServeRequest::stream_from_trace(&trace, DataflowKind::MasAttention, Some(0.05))
 }
 
-fn config(parallel_planning: bool) -> ServeConfig {
-    ServeConfig {
+fn config(parallel_planning: bool) -> EngineConfig {
+    EngineConfig {
         parallel_planning,
-        ..ServeConfig::default()
+        ..EngineConfig::default()
     }
+}
+
+/// Replays a prefill-only stream and returns the prefill-class report.
+fn serve(engine: &mut ServeEngine, requests: &[ServeRequest]) -> ServeReport {
+    engine
+        .run(requests, &DecodeTrace::empty())
+        .expect("prefill replay")
+        .prefill
+}
+
+fn toy_reqs(n: usize, gap_s: f64) -> Vec<ServeRequest> {
+    (0..n)
+        .map(|i| {
+            ServeRequest::new(
+                i as u64,
+                i as f64 * gap_s,
+                DataflowKind::MasAttention,
+                AttentionWorkload::new("toy", 1, 2, 128, 64),
+                None,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn identical_requests_share_one_plan() {
+    let mut engine = ServeEngine::new(EngineConfig::default());
+    let report = serve(&mut engine, &toy_reqs(6, 1e-5));
+    assert_eq!(report.completed(), 6);
+    assert_eq!(report.cache_misses, 1, "one shape → one planning run");
+    assert_eq!(engine.cache().len(), 1);
+    assert!(report.makespan_s > 0.0);
+    assert!(report.total_energy_pj > 0.0);
+}
+
+#[test]
+fn a_second_replay_is_all_hits_and_identical() {
+    let mut engine = ServeEngine::new(EngineConfig::default());
+    let stream = toy_reqs(5, 1e-4);
+    let cold = serve(&mut engine, &stream);
+    let warm = serve(&mut engine, &stream);
+    assert_eq!(warm.cache_misses, 0);
+    assert_eq!(warm.cache_hits, warm.batches);
+    // The cache changes planning cost (and the hit flags), never results.
+    let strip = |r: &ServeReport| -> Vec<RequestOutcome> {
+        r.outcomes
+            .iter()
+            .cloned()
+            .map(|mut o| {
+                o.cache_hit = false;
+                o
+            })
+            .collect()
+    };
+    assert_eq!(strip(&warm), strip(&cold));
+    assert_eq!(warm.makespan_s, cold.makespan_s);
+    assert_eq!(warm.total_energy_pj, cold.total_energy_pj);
+}
+
+#[test]
+fn queueing_latency_grows_under_a_burst() {
+    let mut config = EngineConfig::default();
+    config.batching.window_s = 0.0; // no coalescing: requests serialize
+    let burst: Vec<ServeRequest> = (0..4)
+        .map(|i| {
+            ServeRequest::new(
+                i,
+                0.0,
+                DataflowKind::Flat,
+                AttentionWorkload::new("toy", 1, 2, 128, 64),
+                None,
+            )
+        })
+        .collect();
+    let report = serve(&mut ServeEngine::new(config), &burst);
+    assert_eq!(report.batches, 4);
+    let mut latencies: Vec<f64> = report
+        .outcomes
+        .iter()
+        .map(RequestOutcome::latency_s)
+        .collect();
+    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    // Head-of-line service vs. tail: 4 serialized identical services.
+    let service = report.outcomes[0].service_s;
+    assert!((latencies[0] - service).abs() < 1e-9);
+    assert!((latencies[3] - 4.0 * service).abs() < 1e-9);
+}
+
+#[test]
+fn extra_devices_cut_the_makespan() {
+    let mk = |devices: usize| {
+        let mut config = EngineConfig::default();
+        config.batching.window_s = 0.0;
+        config.devices = devices;
+        serve(&mut ServeEngine::new(config), &toy_reqs(4, 0.0)).makespan_s
+    };
+    let one = mk(1);
+    let two = mk(2);
+    assert!(
+        two < one,
+        "two devices ({two} s) must beat one ({one} s) on a 4-burst"
+    );
+}
+
+#[test]
+fn sustained_overload_sheds_load_at_the_estimated_backlog_bound() {
+    // Offered load far above device capacity: a tight estimated-backlog
+    // bound must start rejecting once the launch queue falls behind,
+    // instead of growing latency without bound.
+    let mut config = EngineConfig::default();
+    config.batching.window_s = 0.0; // no coalescing: pure queueing
+    config.admission.max_est_queue_s = Some(2e-4);
+    // 50 simultaneous BERT-Small requests; each takes ~100 µs+, so the
+    // estimated queue blows through 200 µs after a handful of launches.
+    let burst: Vec<ServeRequest> = (0..50)
+        .map(|i| {
+            ServeRequest::new(
+                i,
+                0.0,
+                DataflowKind::MasAttention,
+                AttentionWorkload::new("BERT-Small", 1, 8, 512, 64),
+                None,
+            )
+        })
+        .collect();
+    let report = serve(&mut ServeEngine::new(config), &burst);
+    assert!(
+        !report.rejected.is_empty(),
+        "overload must shed load: {}",
+        report.summary()
+    );
+    assert!(report.completed() > 0, "head of the queue is still served");
+    assert!(report
+        .rejected
+        .iter()
+        .all(|r| r.reason == RejectReason::QueueFull));
+    // The head of the line was admitted, the tail shed.
+    let max_completed_id = report.outcomes.iter().map(|o| o.id).max().unwrap();
+    let min_rejected_id = report.rejected.iter().map(|r| r.id).min().unwrap();
+    assert!(min_rejected_id > 0);
+    assert_eq!(
+        max_completed_id + u64::try_from(report.rejected.len()).unwrap(),
+        49
+    );
+}
+
+#[test]
+fn rejected_requests_never_reach_planning() {
+    let mut config = EngineConfig::default();
+    config.admission.max_queue_depth = Some(1);
+    config.batching.window_s = 1.0;
+    config.batching.max_batch = 100;
+    let report = serve(&mut ServeEngine::new(config), &toy_reqs(3, 0.0));
+    assert_eq!(report.completed(), 1);
+    assert_eq!(report.rejected.len(), 2);
+    assert_eq!(report.completed() + report.rejected.len(), 3);
 }
 
 /// The headline determinism pin: replaying the same trace with pooled
@@ -32,12 +189,8 @@ fn config(parallel_planning: bool) -> ServeConfig {
 #[test]
 fn pooled_and_serial_replay_produce_bit_identical_reports() {
     let requests = stream(60, 11);
-    let pooled = ServeRuntime::new(config(true))
-        .run_trace(&requests)
-        .unwrap();
-    let serial = ServeRuntime::new(config(false))
-        .run_trace(&requests)
-        .unwrap();
+    let pooled = serve(&mut ServeEngine::new(config(true)), &requests);
+    let serial = serve(&mut ServeEngine::new(config(false)), &requests);
     assert_eq!(pooled, serial);
     assert!(pooled.completed() > 0);
 }
@@ -46,7 +199,6 @@ fn pooled_and_serial_replay_produce_bit_identical_reports() {
 /// path the cache amortizes), including tuner-internal parallelism on/off.
 #[test]
 fn pooled_and_serial_replay_agree_under_search_tuning() {
-    use mas_dataflow::AttentionWorkload;
     // Small synthetic shapes: tuning Table-1 shapes twice would dominate the
     // suite's runtime without adding coverage.
     let requests: Vec<ServeRequest> = (0..8)
@@ -73,7 +225,7 @@ fn pooled_and_serial_replay_agree_under_search_tuning() {
             },
             ..PlannerConfig::default()
         };
-        ServeRuntime::new(cfg).run_trace(&requests).unwrap()
+        serve(&mut ServeEngine::new(cfg), &requests)
     };
     let pooled = mk(true);
     assert_eq!(pooled, mk(false));
@@ -88,7 +240,7 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     // Decouple admission across keys so shard batching matches joint
     // batching exactly (the backlog bound couples otherwise-independent
     // shapes).
-    let mk_config = || ServeConfig {
+    let mk_config = || EngineConfig {
         admission: AdmissionPolicy::admit_all(),
         ..config(true)
     };
@@ -108,9 +260,9 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     assert_eq!(shard_a.len() + shard_b.len(), all.len());
 
     // Joint build.
-    let mut joint_rt = ServeRuntime::new(mk_config());
-    joint_rt.run_trace(&all).unwrap();
-    let joint = joint_rt.into_cache();
+    let mut joint_engine = ServeEngine::new(mk_config());
+    serve(&mut joint_engine, &all);
+    let joint = joint_engine.into_cache();
 
     // Sharded build, round-tripped through the serialized format.
     // Per-process file names so concurrent test runs on one machine don't
@@ -120,9 +272,9 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     let path_a = dir.join(format!("mas-serve-shard-a-{pid}.cache"));
     let path_b = dir.join(format!("mas-serve-shard-b-{pid}.cache"));
     for (path, shard) in [(&path_a, &shard_a), (&path_b, &shard_b)] {
-        let mut rt = ServeRuntime::new(mk_config());
-        rt.run_trace(shard).unwrap();
-        rt.cache().save(path).unwrap();
+        let mut engine = ServeEngine::new(mk_config());
+        serve(&mut engine, shard);
+        engine.cache().save(path).unwrap();
     }
     let loaded_a = ScheduleCache::load(&path_a).unwrap();
     let loaded_b = ScheduleCache::load(&path_b).unwrap();
@@ -135,8 +287,7 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     assert_eq!(ab, joint, "merged shards == jointly built cache");
 
     // The merged cache replays the full trace with zero planning.
-    let mut warm_rt = ServeRuntime::with_cache(mk_config(), ab);
-    let warm = warm_rt.run_trace(&all).unwrap();
+    let warm = serve(&mut ServeEngine::with_cache(mk_config(), ab), &all);
     assert_eq!(warm.cache_misses, 0);
     assert_eq!(warm.cache_hits, warm.batches);
 }
@@ -151,16 +302,16 @@ fn deadline_misses_are_accounted_exactly() {
     // Learn the per-request service time with a deadline-free probe.
     let mut probe_cfg = config(true);
     probe_cfg.batching.window_s = 0.0;
-    let mut probe_rt = ServeRuntime::new(probe_cfg.clone());
-    let probe = probe_rt
-        .run_trace(&[ServeRequest::new(
+    let probe = serve(
+        &mut ServeEngine::new(probe_cfg.clone()),
+        &[ServeRequest::new(
             0,
             0.0,
             DataflowKind::MasAttention,
             workload.clone(),
             None,
-        )])
-        .unwrap();
+        )],
+    );
     let service_s = probe.outcomes[0].service_s;
     assert!(service_s > 0.0);
 
@@ -184,8 +335,7 @@ fn deadline_misses_are_accounted_exactly() {
         max_batch: 1,
         window_s: 0.0,
     };
-    let mut rt = ServeRuntime::new(cfg);
-    let report: ServeReport = rt.run_trace(&burst).unwrap();
+    let report = serve(&mut ServeEngine::new(cfg), &burst);
     assert_eq!(report.completed(), 5);
     assert_eq!(report.deadline_met(), 2, "{}", report.summary());
     assert_eq!(report.deadline_missed(), 3);
@@ -206,8 +356,8 @@ fn deadline_misses_are_accounted_exactly() {
 #[test]
 fn mixed_traffic_accounting_is_consistent() {
     let requests = stream(120, 31);
-    let mut rt = ServeRuntime::new(config(true));
-    let report = rt.run_trace(&requests).unwrap();
+    let mut engine = ServeEngine::new(config(true));
+    let report = serve(&mut engine, &requests);
     assert_eq!(report.completed() + report.rejected.len(), 120);
     assert_eq!(report.cache_hits + report.cache_misses, report.batches);
     assert_eq!(
@@ -219,5 +369,5 @@ fn mixed_traffic_accounting_is_consistent() {
     assert!(report.makespan_s >= report.outcomes.iter().fold(0.0, |m, o| m.max(o.service_s)));
     // Three networks, one method → at most three distinct merged shapes per
     // batch size; the cache stays compact.
-    assert!(rt.cache().len() <= report.batches);
+    assert!(engine.cache().len() <= report.batches);
 }

@@ -1,31 +1,33 @@
-//! Backward equivalence of the unified engine on single-class streams.
+//! Policy invariance of the engine on single-class streams.
 //!
-//! What this suite pins — precisely, since the legacy runtimes are now
-//! shims over the engine and an engine-vs-shim comparison alone would be
-//! circular:
+//! What this suite pins:
 //!
-//! * **Shim/engine consistency**: the `ServeConfig` → `EngineConfig`
-//!   lifting and the per-class report extraction lose nothing (reports,
-//!   launch counts, makespans and budget figures all collapse correctly).
 //! * **Policy invariance**: every `SchedulePolicy` produces bit-identical
 //!   reports on single-class streams (the policy only reorders *mixed*
-//!   launch queues), under both decode charging policies, deadline
-//!   screening and multiple devices.
-//! * The **absolute** pre-refactor behavior is pinned by the legacy
-//!   runtimes' own behavioral suites (exact latencies, orderings, shed
-//!   counts in `runtime.rs`, `decode.rs`, `e2e.rs`, `paged_admission.rs`),
-//!   which now execute through the shims on every build — on both rayon
-//!   CI legs.
+//!   launch queues), under serial and pooled planning, both decode charging
+//!   policies, deadline screening and multiple devices.
+//! * **Per-class collapse**: on a single-class stream the other class's
+//!   report stays at its default, and the shared launch count, makespan and
+//!   budget figures collapse onto the present class.
+//!
+//! The absolute behavior (exact latencies, orderings, shed counts) is
+//! pinned by the behavioral suites in `decode.rs`, `e2e.rs` and
+//! `paged_admission.rs`.
 
 use mas_dataflow::DataflowKind;
 use mas_serve::{
-    DecodePolicy, DecodeReport, DecodeRuntime, EngineConfig, SchedulePolicy, ServeConfig,
-    ServeEngine, ServeRequest, ServeRuntime,
+    DecodePolicy, DecodeReport, EngineConfig, EngineReport, SchedulePolicy, ServeEngine,
+    ServeRequest,
 };
-use mas_sim::HardwareConfig;
 use mas_workloads::{
     decode_trace, request_trace, DecodeTrace, DecodeTraceConfig, Network, TraceConfig,
 };
+
+const POLICIES: [SchedulePolicy; 3] = [
+    SchedulePolicy::FairShare,
+    SchedulePolicy::DecodePriority,
+    SchedulePolicy::PrefillPriority,
+];
 
 fn nets() -> Vec<Network> {
     vec![Network::BertSmall, Network::VitB16, Network::T5Mini]
@@ -36,68 +38,62 @@ fn prefill_stream(count: usize, seed: u64) -> Vec<ServeRequest> {
     ServeRequest::stream_from_trace(&trace, DataflowKind::MasAttention, Some(0.05))
 }
 
-#[test]
-fn prefill_only_stream_reproduces_the_legacy_serve_report_bit_identically() {
-    let requests = prefill_stream(60, 11);
-    let legacy = ServeRuntime::new(ServeConfig::default())
-        .run_trace(&requests)
-        .unwrap();
-    assert!(legacy.completed() > 0);
+/// Replays `prefill` + `decode` once per scheduling policy (in
+/// [`POLICIES`] order) with `config`'s other settings.
+fn run_under_every_policy(
+    config: &EngineConfig,
+    prefill: &[ServeRequest],
+    decode: &DecodeTrace,
+) -> Vec<EngineReport> {
+    POLICIES
+        .iter()
+        .map(|&policy| {
+            ServeEngine::new(EngineConfig {
+                policy,
+                ..config.clone()
+            })
+            .run(prefill, decode)
+            .unwrap()
+        })
+        .collect()
+}
 
-    for policy in [
-        SchedulePolicy::FairShare,
-        SchedulePolicy::DecodePriority,
-        SchedulePolicy::PrefillPriority,
-    ] {
-        // The shim-lifted configuration (budget disabled, as the legacy
-        // runtime had none) with only the policy overridden.
-        let mut engine = ServeEngine::new(EngineConfig {
-            policy,
-            ..ServeConfig::default().into()
-        });
-        let report = engine.run(&requests, &DecodeTrace::empty()).unwrap();
-        assert_eq!(
-            report.prefill, legacy,
-            "prefill-only engine run under {policy} must be bit-identical to the legacy report"
-        );
-        // The decode side of a prefill-only run is empty, and the shared
-        // figures collapse onto the prefill class.
-        assert_eq!(report.decode, DecodeReport::default());
-        assert_eq!(report.launches, legacy.batches);
-        assert_eq!(report.makespan_s, legacy.makespan_s);
-        assert_eq!(report.mem_peak_decode_bytes, 0);
-        assert!(report.mem_peak_bytes <= report.mem_budget_bytes);
-        assert_eq!(report.mem_peak_bytes, report.mem_peak_prefill_bytes);
+#[test]
+fn prefill_only_stream_is_policy_invariant_and_collapses_onto_the_prefill_class() {
+    let configs = [
+        (prefill_stream(60, 11), EngineConfig::default()),
+        (
+            prefill_stream(40, 29),
+            EngineConfig {
+                devices: 3,
+                parallel_planning: false,
+                ..EngineConfig::default()
+            },
+        ),
+    ];
+    for (requests, config) in configs {
+        let reports = run_under_every_policy(&config, &requests, &DecodeTrace::empty());
+        let reference = &reports[0].prefill;
+        assert!(reference.completed() > 0);
+        for (policy, report) in POLICIES.iter().zip(&reports) {
+            assert_eq!(
+                &report.prefill, reference,
+                "prefill-only engine run under {policy} must be bit-identical to fair share"
+            );
+            // The decode side of a prefill-only run is empty, and the shared
+            // figures collapse onto the prefill class.
+            assert_eq!(report.decode, DecodeReport::default());
+            assert_eq!(report.launches, reference.batches);
+            assert_eq!(report.makespan_s, reference.makespan_s);
+            assert_eq!(report.mem_peak_decode_bytes, 0);
+            assert!(report.mem_peak_bytes <= report.mem_budget_bytes);
+            assert_eq!(report.mem_peak_bytes, report.mem_peak_prefill_bytes);
+        }
     }
-
-    // A default-budget engine (half of DRAM) matches too whenever the
-    // budget does not bind — the regime every realistic prefill queue is
-    // in. (In memory-bound corners the budget sheds load the budget-free
-    // legacy path would have queued; the shim disables it for that reason.)
-    let mut engine = ServeEngine::new(EngineConfig::default());
-    let report = engine.run(&requests, &DecodeTrace::empty()).unwrap();
-    assert_eq!(report.prefill, legacy);
 }
 
 #[test]
-fn prefill_equivalence_holds_with_serial_planning_and_extra_devices() {
-    let requests = prefill_stream(40, 29);
-    let serve_config = ServeConfig {
-        devices: 3,
-        parallel_planning: false,
-        ..ServeConfig::default()
-    };
-    let legacy = ServeRuntime::new(serve_config.clone())
-        .run_trace(&requests)
-        .unwrap();
-    let mut engine = ServeEngine::new(serve_config.into());
-    let report = engine.run(&requests, &DecodeTrace::empty()).unwrap();
-    assert_eq!(report.prefill, legacy);
-}
-
-#[test]
-fn decode_only_trace_reproduces_the_legacy_decode_report_bit_identically() {
-    let hw = HardwareConfig::edge_default();
+fn decode_only_trace_is_policy_invariant_and_collapses_onto_the_decode_class() {
     let trace = decode_trace(&DecodeTraceConfig::poisson(
         vec![Network::BertSmall, Network::T5Mini, Network::Llama3_8B],
         20,
@@ -106,7 +102,7 @@ fn decode_only_trace_reproduces_the_legacy_decode_report_bit_identically() {
     ));
     // Paged (default), legacy max-context charging, and a deadline-screened
     // variant, on one and two devices.
-    let policies = [
+    let decode_policies = [
         DecodePolicy::default(),
         DecodePolicy {
             kv_block_tokens: None,
@@ -117,38 +113,31 @@ fn decode_only_trace_reproduces_the_legacy_decode_report_bit_identically() {
             ..DecodePolicy::default()
         },
     ];
-    for decode_policy in policies {
+    for decode_policy in decode_policies {
         for devices in [1usize, 2] {
-            let legacy = DecodeRuntime::new(hw.clone(), decode_policy)
-                .with_devices(devices)
-                .run_trace(&trace);
+            let config = EngineConfig {
+                decode: decode_policy,
+                devices,
+                ..EngineConfig::default()
+            };
+            let reports = run_under_every_policy(&config, &[], &trace);
+            let reference = &reports[0].decode;
             assert_eq!(
-                legacy.completed() + legacy.rejected.len(),
+                reference.completed() + reference.rejected.len(),
                 trace.total_steps()
             );
-            for policy in [
-                SchedulePolicy::FairShare,
-                SchedulePolicy::DecodePriority,
-                SchedulePolicy::PrefillPriority,
-            ] {
-                let mut engine = ServeEngine::new(EngineConfig {
-                    decode: decode_policy,
-                    devices,
-                    policy,
-                    ..EngineConfig::default()
-                });
-                let report = engine.run(&[], &trace).unwrap();
+            for (policy, report) in POLICIES.iter().zip(&reports) {
                 assert_eq!(
-                    report.decode, legacy,
+                    &report.decode, reference,
                     "decode-only engine run under {policy} ({devices} devices) must be \
-                     bit-identical to the legacy report"
+                     bit-identical to fair share"
                 );
                 assert_eq!(report.prefill.completed(), 0);
-                assert_eq!(report.launches, legacy.launches);
-                assert_eq!(report.makespan_s, legacy.makespan_s);
+                assert_eq!(report.launches, reference.launches);
+                assert_eq!(report.makespan_s, reference.makespan_s);
                 // The shared-budget peak of a decode-only run is exactly the
                 // decode KV peak.
-                assert_eq!(report.mem_peak_bytes, legacy.kv_peak_bytes);
+                assert_eq!(report.mem_peak_bytes, reference.kv_peak_bytes);
                 assert_eq!(report.mem_peak_prefill_bytes, 0);
             }
         }

@@ -13,10 +13,28 @@
 //! paged charging on a shared-system-prompt trace — and the group's blocks
 //! are released exactly once, with its last member.
 
+use mas_attention::PlannerConfig;
 use mas_dataflow::decode::DecodeStep;
-use mas_serve::{DecodePolicy, DecodeRuntime};
+use mas_serve::{DecodePolicy, DecodeReport, EngineConfig, ServeEngine};
 use mas_sim::HardwareConfig;
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, Network};
+
+/// Replays a decode-only trace through the engine on `hw` and returns the
+/// decode-class report.
+fn replay(hw: &HardwareConfig, decode: DecodePolicy, trace: &DecodeTrace) -> DecodeReport {
+    let config = EngineConfig {
+        planner: PlannerConfig {
+            hardware: hw.clone(),
+            ..PlannerConfig::default()
+        },
+        decode,
+        ..EngineConfig::default()
+    };
+    ServeEngine::new(config)
+        .run(&[], trace)
+        .expect("decode-only streams never plan and so never fail")
+        .decode
+}
 
 /// A long-max-context / short-actual-context trace: `n` simultaneous
 /// sessions each *declare* a generation budget of `declared_steps` (the
@@ -80,8 +98,8 @@ fn paged_charging_admits_at_least_twice_the_sessions_of_max_context_reservation(
         ..DecodePolicy::default()
     };
 
-    let legacy = DecodeRuntime::new(hw.clone(), legacy_policy).run_trace(&trace);
-    let paged = DecodeRuntime::new(hw.clone(), paged_policy).run_trace(&trace);
+    let legacy = replay(&hw, legacy_policy, &trace);
+    let paged = replay(&hw, paged_policy, &trace);
 
     // Legacy over-reservation caps concurrency at the worst case.
     assert_eq!(legacy.sessions_admitted, 4, "{}", legacy.summary());
@@ -135,7 +153,7 @@ fn paged_charging_still_bounds_the_budget_under_real_pressure() {
     // 4 sessions that genuinely decode 96 steps each (context up to 128
     // tokens = 8 blocks per session, 32 blocks demanded > 20 budgeted).
     let trace = overcommit_trace(4, 32, 96, 96);
-    let report = DecodeRuntime::new(hw, policy).run_trace(&trace);
+    let report = replay(&hw, policy, &trace);
     assert_eq!(report.sessions_admitted, 4, "{}", report.summary());
     assert!(
         report.pool_overflows() > 0,
@@ -212,7 +230,7 @@ fn prefix_sharing_charges_the_shared_prompt_once_and_admits_twice_the_sessions()
 
     // Private paged charging: each session charges 5 blocks at open
     // (context 65 tokens), so 16 blocks admit only 3 sessions.
-    let private = DecodeRuntime::new(hw.clone(), private_policy).run_trace(&trace);
+    let private = replay(&hw, private_policy, &trace);
     assert_eq!(private.sessions_admitted, 3, "{}", private.summary());
     assert_eq!(private.shared_sessions, 0);
     assert_eq!(private.kv_shared_peak_bytes, 0);
@@ -220,7 +238,7 @@ fn prefix_sharing_charges_the_shared_prompt_once_and_admits_twice_the_sessions()
     // Prefix sharing: the 4 prefix blocks are charged once group-wide;
     // each session privately holds only its 1-block decode tail, so all 8
     // sessions fit (4 + 8 = 12 blocks) — ≥2x the private admissions.
-    let shared = DecodeRuntime::new(hw, shared_policy).run_trace(&trace);
+    let shared = replay(&hw, shared_policy, &trace);
     assert_eq!(shared.sessions_admitted, 8, "{}", shared.summary());
     assert!(shared.sessions_admitted >= 2 * private.sessions_admitted);
     assert!(shared.rejected_sessions.is_empty());
@@ -262,7 +280,7 @@ fn sharing_with_a_partial_tail_charges_only_whole_prefix_blocks_group_wide() {
         prefix_share: true,
         ..DecodePolicy::default()
     };
-    let report = DecodeRuntime::new(hw, policy).run_trace(&trace);
+    let report = replay(&hw, policy, &trace);
     assert_eq!(report.sessions_admitted, 4, "{}", report.summary());
     assert_eq!(report.shared_sessions, 4);
     assert_eq!(report.kv_shared_peak_bytes, 2 * block_bytes);
