@@ -156,20 +156,27 @@ mod tests {
 
     #[test]
     fn mac_and_vec_do_not_overlap() {
-        let (w, hw, t) = toy();
-        let s = build(&w, &t, &hw);
-        let report = Executor::new(hw, EnergyModel::edge_16nm())
-            .run(s.graph())
-            .unwrap();
-        // FLAT serializes MAC and VEC: overlap is negligible (only across
-        // chunks that run on different cores, which do not share units).
-        let trace = report.trace.as_ref().unwrap();
-        let same_core_overlap =
-            trace.overlap_cycles(Resource::Mac { core: 0 }, Resource::Vec { core: 0 });
-        assert_eq!(
-            same_core_overlap, 0,
-            "FLAT must not overlap MAC and VEC on a core"
-        );
+        let (w, mut hw, t) = toy();
+        for cores in [2, 1] {
+            hw.cores = cores;
+            let s = build(&w, &t, &hw);
+            let report = Executor::new(hw.clone(), EnergyModel::edge_16nm())
+                .run(s.graph())
+                .unwrap();
+            // FLAT serializes MAC and VEC: overlap is negligible (only across
+            // chunks that run on different cores, which do not share units).
+            let trace = report.trace.as_ref().unwrap();
+            let same_core_overlap =
+                trace.overlap_cycles(Resource::Mac { core: 0 }, Resource::Vec { core: 0 });
+            assert_eq!(
+                same_core_overlap, 0,
+                "FLAT must not overlap MAC and VEC on a core"
+            );
+            if cores == 1 {
+                // MAC0 and VEC0 are the only MAC and VEC units.
+                assert_eq!(same_core_overlap, report.mac_vec_overlap_cycles);
+            }
+        }
     }
 
     #[test]

@@ -361,14 +361,22 @@ mod tests {
 
     #[test]
     fn mas_overlaps_mac_and_vec_on_the_same_core() {
-        let (w, hw, t) = toy();
-        let s = build(&w, &t, &hw);
-        let report = Executor::new(hw, EnergyModel::edge_16nm())
-            .run(s.graph())
-            .unwrap();
-        let trace = report.trace.as_ref().unwrap();
-        let overlap = trace.overlap_cycles(Resource::Mac { core: 0 }, Resource::Vec { core: 0 });
-        assert!(overlap > 0, "MAS must overlap MAC and VEC on the same core");
+        let (w, mut hw, t) = toy();
+        for cores in [2, 1] {
+            hw.cores = cores;
+            let s = build(&w, &t, &hw);
+            let report = Executor::new(hw.clone(), EnergyModel::edge_16nm())
+                .run(s.graph())
+                .unwrap();
+            let trace = report.trace.as_ref().unwrap();
+            let overlap =
+                trace.overlap_cycles(Resource::Mac { core: 0 }, Resource::Vec { core: 0 });
+            assert!(overlap > 0, "MAS must overlap MAC and VEC on the same core");
+            if cores == 1 {
+                // MAC0 and VEC0 are the only MAC and VEC units.
+                assert_eq!(overlap, report.mac_vec_overlap_cycles);
+            }
+        }
     }
 
     #[test]

@@ -2,14 +2,45 @@
 //!
 //! The executor assigns each task of a [`TaskGraph`] to its required
 //! [`Resource`] as soon as (a) every dependency has finished and (b) the
-//! resource is idle, breaking ties by program order (insertion order). This
-//! mirrors how the paper's dataflows are issued on the device: each compute
-//! unit processes its stream of tiled tasks in order, and the semi-synchronous
-//! dependencies between the MAC and VEC streams are expressed as edges in the
-//! graph.
+//! resource is idle, breaking ties by priority and then program order
+//! (insertion order; see the determinism contract below). This mirrors how
+//! the paper's dataflows are issued on the device: each compute unit
+//! processes its stream of tiled tasks in order, and the semi-synchronous
+//! dependencies between the MAC and VEC streams are expressed as edges in
+//! the graph.
 //!
 //! The result is a [`SimReport`] containing the makespan, energy breakdown,
 //! DRAM traffic, per-resource busy time and MAC/VEC overlap.
+//!
+//! # Determinism contract
+//!
+//! The start order fixes every figure of the report, including the f64
+//! energy sums (accumulated in start order) and the order of trace entries.
+//! It is defined by three rules:
+//!
+//! 1. **Slots in display-name order.** At each event time the scheduler
+//!    visits the resources the graph uses sorted by their display name
+//!    (`"DMA-in" < "DMA-out" < "MAC0" < "MAC1" < "MAC10" < "MAC2" < … <
+//!    "VEC0" < …`; the order is lexicographic, not numeric).
+//! 2. **`(priority, program order)` within a slot.** An idle slot starts its
+//!    ready task with the smallest `(priority, index)` key. Compute tasks have
+//!    priority = their index; DMA tasks take their earliest dependent's index,
+//!    or `usize::MAX - n + index` when nothing depends on them.
+//! 3. **One start per slot per pass.** A pass starts at most one task on each
+//!    idle slot; passes repeat while any slot started one, so a zero-duration
+//!    task frees its slot for the next pass at the same cycle. Dependents
+//!    become ready only when time advances past their last dependency's end.
+//!
+//! # Cost
+//!
+//! Each run resolves every task's [`Resource`] once into a dense slot index
+//! (slots sorted once by name) and keeps one binary-heap ready queue, one
+//! busy-until time and one busy-cycle counter per slot; the dependency edges
+//! are held in compressed rows. The scheduling loop allocates nothing per
+//! task beyond the trace entry itself, and the report's name-keyed
+//! `busy_cycles` map is built once at the end. On a 2-vCPU x86-64 host a
+//! run costs about 0.1–0.15 µs per task without a trace (BERT-Base graphs of
+//! 504–890 tasks) and about 0.25 µs per task with one (the Table 2 sweep).
 //!
 //! # Track scheduling (continuous time)
 //!
@@ -40,14 +71,15 @@
 //!   candidate wins), so track-scheduled makespans are never worse than the
 //!   scalar model's on any launch sequence.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::config::HardwareConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::error::{Result, SimError};
 use crate::graph::TaskGraph;
 use crate::report::SimReport;
-use crate::task::{Resource, TaskId, TrackKind, TRACK_COUNT};
+use crate::task::{Resource, Task, TrackKind, TRACK_COUNT};
 use crate::timing::TimingModel;
 use crate::trace::{Trace, TraceEntry};
 
@@ -109,7 +141,7 @@ impl Executor {
         if graph.is_empty() {
             return Err(SimError::EmptyGraph);
         }
-        graph.validate()?;
+        let dependents = graph.checked_dependents()?;
         for task in graph.iter() {
             if let Some(core) = task.resource.core() {
                 if core >= hw.cores {
@@ -122,14 +154,8 @@ impl Executor {
         }
 
         let n = graph.len();
-        let mut remaining_deps = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for task in graph.iter() {
-            remaining_deps[task.id.index()] = task.deps.len();
-            for dep in &task.deps {
-                dependents[dep.index()].push(task.id.index());
-            }
-        }
+        let tasks = graph.tasks();
+        let mut remaining_deps: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
 
         // Scheduling priority. Compute units issue their stream in program
         // order (the order the dataflow intends). DMA channels are
@@ -137,156 +163,131 @@ impl Executor {
         // order are served first, which models double-buffered prefetching
         // that follows the compute streams instead of blindly following the
         // order requests were queued.
-        let mut priority = vec![0usize; n];
-        for task in graph.iter() {
-            let i = task.id.index();
-            priority[i] = match task.resource {
-                Resource::DmaIn | Resource::DmaOut => dependents[i]
+        let priority: Vec<usize> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, task)| match task.resource {
+                Resource::DmaIn | Resource::DmaOut => dependents
+                    .of(i)
                     .iter()
                     .copied()
                     .min()
                     .unwrap_or(usize::MAX - n + i),
                 _ => i,
-            };
-        }
+            })
+            .collect();
 
-        // Ready queues per resource, ordered by (priority, program order).
-        let mut ready: HashMap<Resource, VecDeque<usize>> = HashMap::new();
-        for task in graph.iter() {
-            ready.entry(task.resource).or_default();
-        }
-        let enqueue = |queue: &mut VecDeque<usize>, priority: &[usize], index: usize| {
-            let key = (priority[index], index);
-            let pos = queue
-                .iter()
-                .position(|&other| (priority[other], other) > key)
-                .unwrap_or(queue.len());
-            queue.insert(pos, index);
-        };
-        // Seed initially-ready tasks.
-        for task in graph.iter() {
-            if remaining_deps[task.id.index()] == 0 {
-                let queue = ready
-                    .get_mut(&task.resource)
-                    .expect("queue exists for every resource");
-                enqueue(queue, &priority, task.id.index());
+        // Resolve every task's resource to a dense slot, slots ordered by
+        // display name.
+        let slots = Slots::resolve(tasks, hw.cores);
+        let slot_count = slots.resources.len();
+
+        // Per-slot ready heaps keyed by (priority, program order); the keys
+        // are unique, so each pop is deterministic.
+        let mut ready: Vec<BinaryHeap<Reverse<(usize, usize)>>> =
+            vec![BinaryHeap::new(); slot_count];
+        for (i, &deps) in remaining_deps.iter().enumerate() {
+            if deps == 0 {
+                ready[slots.of_task[i]].push(Reverse((priority[i], i)));
             }
         }
 
-        // Min-heap of running tasks by end cycle (reverse ordering on a max-heap).
-        #[derive(PartialEq, Eq)]
-        struct Running {
-            end: u64,
-            index: usize,
-        }
-        impl Ord for Running {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other.end.cmp(&self.end).then(other.index.cmp(&self.index))
-            }
-        }
-        impl PartialOrd for Running {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let mut running: BinaryHeap<Running> = BinaryHeap::new();
-        let mut resource_busy_until: HashMap<Resource, u64> = HashMap::new();
-        let mut busy_cycles: BTreeMap<String, u64> = BTreeMap::new();
+        // Running tasks by (end cycle, program order), earliest first.
+        let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut busy_until = vec![0u64; slot_count];
+        let mut busy_cycles = vec![0u64; slot_count];
         let mut trace = Trace::new();
         let mut energy = EnergyBreakdown::zero();
         let mut completed = 0usize;
         let mut now: u64 = 0;
         let mut mac_intervals: Vec<(u64, u64)> = Vec::new();
         let mut vec_intervals: Vec<(u64, u64)> = Vec::new();
+        let mut finished: Vec<usize> = Vec::new();
 
         while completed < n {
-            // Start every task that can start at the current time.
+            // Start every task that can start at the current time: one start
+            // per idle slot per pass, repeated while any slot started one
+            // (a zero-duration task frees its slot within the same cycle).
             let mut started_any = true;
             while started_any {
                 started_any = false;
-                // Iterate resources deterministically (sorted by display name).
-                let mut resources: Vec<Resource> = ready.keys().copied().collect();
-                resources.sort_by_key(|r| r.to_string());
-                for resource in resources {
-                    let busy_until = resource_busy_until.get(&resource).copied().unwrap_or(0);
-                    if busy_until > now {
+                for slot in 0..slot_count {
+                    if busy_until[slot] > now {
                         continue;
                     }
-                    let queue = ready.get_mut(&resource).expect("resource queue exists");
-                    if let Some(&index) = queue.front() {
-                        queue.pop_front();
-                        let task = graph.get(TaskId(index)).expect("task exists");
-                        let duration = self.timing.task_cycles(&task.kind);
-                        let start = now;
-                        let end = start + duration;
-                        resource_busy_until.insert(resource, end);
-                        running.push(Running { end, index });
-                        *busy_cycles.entry(resource.to_string()).or_insert(0) += duration;
-                        energy.accumulate(&self.energy.task_energy(
-                            &task.kind,
-                            hw.element_bytes,
-                            hw.softmax_ops_per_element,
-                        ));
-                        if duration > 0 {
-                            match resource {
-                                Resource::Mac { .. } => mac_intervals.push((start, end)),
-                                Resource::Vec { .. } => vec_intervals.push((start, end)),
-                                _ => {}
-                            }
+                    let Some(Reverse((_, index))) = ready[slot].pop() else {
+                        continue;
+                    };
+                    let task = &tasks[index];
+                    let duration = self.timing.task_cycles(&task.kind);
+                    let start = now;
+                    let end = start + duration;
+                    busy_until[slot] = end;
+                    busy_cycles[slot] += duration;
+                    running.push(Reverse((end, index)));
+                    energy.accumulate(&self.energy.task_energy(
+                        &task.kind,
+                        hw.element_bytes,
+                        hw.softmax_ops_per_element,
+                    ));
+                    if duration > 0 {
+                        match task.resource {
+                            Resource::Mac { .. } => mac_intervals.push((start, end)),
+                            Resource::Vec { .. } => vec_intervals.push((start, end)),
+                            _ => {}
                         }
-                        if self.record_trace {
-                            trace.push(TraceEntry {
-                                task: task.id,
-                                label: task.label.clone(),
-                                resource,
-                                start_cycle: start,
-                                end_cycle: end,
-                            });
-                        }
-                        started_any = true;
                     }
+                    if self.record_trace {
+                        trace.push(TraceEntry {
+                            task: task.id,
+                            label: task.label.clone(),
+                            resource: task.resource,
+                            start_cycle: start,
+                            end_cycle: end,
+                        });
+                    }
+                    started_any = true;
                 }
             }
 
             // Advance time to the next completion.
-            match running.pop() {
-                Some(first) => {
-                    now = now.max(first.end);
-                    let mut finished = vec![first.index];
-                    while let Some(next) = running.peek() {
-                        if next.end <= now {
-                            finished.push(running.pop().expect("peeked element exists").index);
-                        } else {
-                            break;
-                        }
-                    }
-                    for index in finished {
-                        completed += 1;
-                        for &dep_index in &dependents[index] {
-                            remaining_deps[dep_index] -= 1;
-                            if remaining_deps[dep_index] == 0 {
-                                let task = graph.get(TaskId(dep_index)).expect("task exists");
-                                let queue = ready
-                                    .get_mut(&task.resource)
-                                    .expect("resource queue exists");
-                                enqueue(queue, &priority, dep_index);
-                            }
-                        }
-                    }
+            let Some(Reverse((end, index))) = running.pop() else {
+                // No running tasks and nothing could start: the graph was
+                // validated acyclic, so this indicates an internal error.
+                return Err(SimError::CyclicGraph {
+                    unscheduled: n - completed,
+                });
+            };
+            now = now.max(end);
+            finished.clear();
+            finished.push(index);
+            while let Some(&Reverse((end, index))) = running.peek() {
+                if end > now {
+                    break;
                 }
-                None => {
-                    // No running tasks and nothing could start: the graph was
-                    // validated acyclic, so this indicates an internal error.
-                    return Err(SimError::CyclicGraph {
-                        unscheduled: n - completed,
-                    });
+                running.pop();
+                finished.push(index);
+            }
+            for &index in &finished {
+                completed += 1;
+                for &dep_index in dependents.of(index) {
+                    remaining_deps[dep_index] -= 1;
+                    if remaining_deps[dep_index] == 0 {
+                        ready[slots.of_task[dep_index]]
+                            .push(Reverse((priority[dep_index], dep_index)));
+                    }
                 }
             }
         }
 
-        let total_cycles = resource_busy_until.values().copied().max().unwrap_or(0);
+        let total_cycles = busy_until.iter().copied().max().unwrap_or(0);
         let overlap = interval_overlap(&mut mac_intervals, &mut vec_intervals);
+        let busy_cycles = slots
+            .resources
+            .iter()
+            .zip(busy_cycles)
+            .map(|(resource, cycles)| (resource.to_string(), cycles))
+            .collect();
 
         Ok(SimReport {
             total_cycles,
@@ -304,9 +305,46 @@ impl Executor {
     }
 }
 
+/// The dense resource slots of one run: the distinct resources a graph
+/// uses, sorted by display name, and each task's slot index.
+struct Slots {
+    /// Slot → resource, in display-name order (`"DMA-in" < "DMA-out" <
+    /// "MAC0" < "MAC10" < "MAC2" < … < "VEC0"`).
+    resources: Vec<Resource>,
+    /// Task index → slot index.
+    of_task: Vec<usize>,
+}
+
+impl Slots {
+    /// Resolves every task's resource to a slot. `cores` bounds the core
+    /// index of every compute resource (checked by the caller).
+    fn resolve(tasks: &[Task], cores: usize) -> Self {
+        // Direct-mapped key per resource: DMA-in, DMA-out, then MAC/VEC
+        // pairs per core.
+        let key = |resource: Resource| match resource {
+            Resource::DmaIn => 0,
+            Resource::DmaOut => 1,
+            Resource::Mac { core } => 2 + 2 * core,
+            Resource::Vec { core } => 3 + 2 * core,
+        };
+        let mut present: Vec<Option<Resource>> = vec![None; 2 + 2 * cores];
+        for task in tasks {
+            present[key(task.resource)] = Some(task.resource);
+        }
+        let mut resources: Vec<Resource> = present.into_iter().flatten().collect();
+        resources.sort_by_cached_key(Resource::to_string);
+        let mut slot_of_key = vec![usize::MAX; 2 + 2 * cores];
+        for (slot, &resource) in resources.iter().enumerate() {
+            slot_of_key[key(resource)] = slot;
+        }
+        let of_task = tasks.iter().map(|t| slot_of_key[key(t.resource)]).collect();
+        Self { resources, of_task }
+    }
+}
+
 /// Computes the number of cycles covered by both interval sets (union of set A
-/// intersected with union of set B).
-fn interval_overlap(a: &mut [(u64, u64)], b: &mut [(u64, u64)]) -> u64 {
+/// intersected with union of set B). Sorts both slices in place.
+pub(crate) fn interval_overlap(a: &mut [(u64, u64)], b: &mut [(u64, u64)]) -> u64 {
     let merged_a = merge_intervals(a);
     let merged_b = merge_intervals(b);
     let mut i = 0;

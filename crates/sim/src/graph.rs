@@ -101,6 +101,11 @@ impl TaskGraph {
         self.tasks.iter()
     }
 
+    /// All tasks in insertion order, indexed by [`TaskId::index`].
+    pub(crate) fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
     /// Returns the task with the given id, if present.
     #[must_use]
     pub fn get(&self, id: TaskId) -> Option<&Task> {
@@ -141,31 +146,45 @@ impl TaskGraph {
     ///
     /// Returns [`SimError::UnknownDependency`] or [`SimError::CyclicGraph`].
     pub fn validate(&self) -> Result<()> {
+        self.checked_dependents().map(drop)
+    }
+
+    /// Validates the graph like [`TaskGraph::validate`] and returns its
+    /// reverse edges, which the executor schedules from.
+    pub(crate) fn checked_dependents(&self) -> Result<Dependents> {
+        let n = self.tasks.len();
+        let mut offsets = vec![0usize; n + 1];
         for task in &self.tasks {
             for dep in &task.deps {
-                if dep.0 >= self.tasks.len() {
+                if dep.0 >= n {
                     return Err(SimError::UnknownDependency {
                         task: task.id,
                         dependency: *dep,
                     });
                 }
+                offsets[dep.0 + 1] += 1;
             }
         }
-        // Kahn's algorithm to detect cycles.
-        let n = self.tasks.len();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut targets = vec![0usize; offsets[n]];
         for task in &self.tasks {
             for dep in &task.deps {
-                indegree[task.id.0] += 1;
-                dependents[dep.0].push(task.id.0);
+                targets[fill[dep.0]] = task.id.0;
+                fill[dep.0] += 1;
             }
         }
+        let dependents = Dependents { offsets, targets };
+
+        // Kahn's algorithm to detect cycles.
+        let mut indegree: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut visited = 0usize;
         while let Some(i) = queue.pop() {
             visited += 1;
-            for &d in &dependents[i] {
+            for &d in dependents.of(i) {
                 indegree[d] -= 1;
                 if indegree[d] == 0 {
                     queue.push(d);
@@ -177,7 +196,7 @@ impl TaskGraph {
                 unscheduled: n - visited,
             });
         }
-        Ok(())
+        Ok(dependents)
     }
 
     /// The length (in tasks) of the longest dependency chain. Barrier tasks
@@ -198,6 +217,21 @@ impl TaskGraph {
             depth[task.id.0] = d + 1;
         }
         depth.into_iter().max().unwrap_or(0)
+    }
+}
+
+/// The reverse edges of a [`TaskGraph`] in compressed rows: the dependents
+/// of task `i` are `targets[offsets[i]..offsets[i + 1]]`, in program order
+/// (a task that lists a dependency twice appears twice).
+pub(crate) struct Dependents {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Dependents {
+    /// The tasks that depend on task `index`.
+    pub(crate) fn of(&self, index: usize) -> &[usize] {
+        &self.targets[self.offsets[index]..self.offsets[index + 1]]
     }
 }
 

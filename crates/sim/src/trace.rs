@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::executor::interval_overlap;
 use crate::task::{Resource, TaskId};
 
 /// One scheduled task occurrence.
@@ -98,23 +99,20 @@ impl Trace {
     }
 
     /// Number of cycles during which *both* given resources were busy
-    /// simultaneously. Used by tests to verify MAC/VEC overlap in
-    /// MAS-Attention and its absence in FLAT.
+    /// simultaneously (the union of `a`'s entries intersected with the union
+    /// of `b`'s, the same measure as the report's MAC/VEC overlap). Used by
+    /// tests to verify MAC/VEC overlap in MAS-Attention and its absence in
+    /// FLAT.
     #[must_use]
     pub fn overlap_cycles(&self, a: Resource, b: Resource) -> u64 {
-        let ea = self.on_resource(a);
-        let eb = self.on_resource(b);
-        let mut total = 0u64;
-        for x in &ea {
-            for y in &eb {
-                let start = x.start_cycle.max(y.start_cycle);
-                let end = x.end_cycle.min(y.end_cycle);
-                if end > start {
-                    total += end - start;
-                }
-            }
-        }
-        total
+        let spans = |resource: Resource| -> Vec<(u64, u64)> {
+            self.entries
+                .iter()
+                .filter(|e| e.resource == resource)
+                .map(|e| (e.start_cycle, e.end_cycle))
+                .collect()
+        };
+        interval_overlap(&mut spans(a), &mut spans(b))
     }
 
     /// The makespan: latest end cycle across all entries (0 for an empty
