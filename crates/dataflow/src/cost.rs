@@ -17,7 +17,7 @@
 //! bit-for-bit the three-stream closed form (peak-rate MAC time, VEC time
 //! and total DRAM traffic time, whichever binds).
 
-use mas_sim::HardwareConfig;
+use mas_sim::{HardwareConfig, TrackKind};
 
 use crate::decode::{DecodeStep, PrefillChunk};
 use crate::workload::AttentionWorkload;
@@ -165,6 +165,39 @@ impl TrackDemand {
             self.vec_ops as f64 / (hw.vec_ops_per_cycle_total() as f64 * hw.frequency_hz),
             self.writeback_bytes as f64 / hw.dram_bandwidth_bytes_per_s,
         ]
+    }
+
+    /// The per-stage track seconds the track executor schedules for a
+    /// launch of this demand whose modeled service time is `service_s`,
+    /// `issue_s` of it launch-issue overhead. The demand splits into
+    /// `stages` tiles ([`TrackDemand::split_stages`]). Each tile's
+    /// [`TrackDemand::track_seconds`] is stretched by
+    /// `(service_s − issue_s) / bound ≥ 1`, so tiling slack and simulation
+    /// overheads are conserved. The issue overhead rides the MAC queue ahead
+    /// of the first compute stage, where it can hide under the first tile's
+    /// DMA. `None` when the bound is zero.
+    #[must_use]
+    pub fn stage_seconds(
+        &self,
+        hw: &HardwareConfig,
+        stages: usize,
+        service_s: f64,
+        issue_s: f64,
+    ) -> Option<Vec<[f64; 4]>> {
+        let bound = self.bound_seconds(hw);
+        if bound <= 0.0 {
+            return None;
+        }
+        let stretch = ((service_s - issue_s) / bound).max(1.0);
+        let mut stage_s: Vec<[f64; 4]> = self
+            .split_stages(stages)
+            .iter()
+            .map(|d| d.track_seconds(hw).map(|s| s * stretch))
+            .collect();
+        if issue_s > 0.0 {
+            stage_s[0][TrackKind::Mac.index()] += issue_s;
+        }
+        Some(stage_s)
     }
 }
 

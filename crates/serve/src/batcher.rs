@@ -81,20 +81,8 @@ impl Batch {
     /// The merged workload this batch launches as one schedule.
     #[must_use]
     pub fn merged_workload(&self) -> AttentionWorkload {
-        AttentionWorkload::new(
-            format!(
-                "serve-batch-{}x{}h{}n{}e{}",
-                self.requests.len(),
-                self.total_batch(),
-                self.key.heads,
-                self.key.seq_len,
-                self.key.embed
-            ),
-            self.total_batch(),
-            self.key.heads,
-            self.key.seq_len,
-            self.key.embed,
-        )
+        self.key
+            .merged_workload(self.requests.len(), self.total_batch())
     }
 }
 

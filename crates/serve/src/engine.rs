@@ -14,9 +14,17 @@
 //!   cross-session under [`DecodePolicy`] (window / fill) — the mechanism
 //!   is shared, the per-class dispatch rules differ.
 //! * **One device timeline.** Every dispatched launch — either class —
-//!   starts on the earliest-free virtual device at
-//!   `max(device_free, ready)`, so the classes genuinely contend for
-//!   compute. The iteration-level [`SchedulePolicy`] decides which queue
+//!   places on the earliest-free virtual device, so the classes genuinely
+//!   contend for compute. Each device is one [`DeviceTracks`] (DMA-in, MAC,
+//!   VEC and writeback clocks), free at its largest clock, and every launch
+//!   takes one placement path ([`DeviceTracks::place`]): a whole-device
+//!   scalar span `[max(device_free, ready), +service)`, or — under
+//!   [`EngineConfig::tracks`] — a flow-shop schedule of its stage demands
+//!   when that finishes strictly earlier. A prefill batch is a chain of one
+//!   or more chunk launches (one chunk unless
+//!   [`EngineConfig::chunked_prefill`] splits it), and every launch is
+//!   accounted and recorded by one routine. The iteration-level
+//!   [`SchedulePolicy`] decides which queue
 //!   feeds the launch slots when launches of both classes are ready at the
 //!   same stream instant: [`SchedulePolicy::DecodePriority`] dispatches
 //!   pending decode launches first (protecting token latency under prefill
@@ -114,10 +122,7 @@ use mas_attention::planner::TilingStrategy;
 use mas_attention::{Planner, PlannerConfig};
 use mas_dataflow::decode::{decode_step_fits, DecodeStep, PrefillChunk};
 use mas_dataflow::{AttentionWorkload, TrackDemand};
-use mas_sim::{
-    DeviceTracks, HardwareConfig, Result, SimError, StageSpan, TrackConfig, TrackKind,
-    TrackPlacement, TRACK_COUNT,
-};
+use mas_sim::{DeviceTracks, HardwareConfig, Result, SimError, StageSpan, TrackConfig};
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTrace};
 
 use crate::batcher::{coalesce, BatchPolicy};
@@ -128,10 +133,7 @@ use crate::decode::{
 };
 use crate::key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
 use crate::metrics::{LatencyStats, RejectedRequest, RequestOutcome, ServeReport};
-use crate::queue::{
-    service_time_lower_bound_s, workload_is_feasible, AdmissionPolicy, BacklogEstimator,
-    RejectReason,
-};
+use crate::queue::{workload_is_feasible, AdmissionPolicy, BacklogEstimator, RejectReason};
 use crate::request::ServeRequest;
 use crate::telemetry::{
     EventKind, MemOwner, PreemptVictim, SealCause, Telemetry, TelemetryConfig, TelemetryRecorder,
@@ -309,10 +311,10 @@ pub struct EngineConfig {
     /// the pre-telemetry engine; `Some` records a typed [`EventKind`]
     /// stream retrievable via [`ServeEngine::telemetry`] after a run.
     pub telemetry: Option<TelemetryConfig>,
-    /// Opt-in chunked prefill. `None` (the default) keeps every replay
-    /// bit-identical to the pre-chunking engine; `Some` lowers long
-    /// prefill batches into chunk chains (see the module docs'
-    /// chunking/preemption invariants).
+    /// Opt-in chunked prefill. `None` (the default) launches every
+    /// prefill batch as one chunk, bit-identical to the pre-chunking
+    /// engine; `Some` splits long prefill batches into chains of several
+    /// chunks (see the module docs' chunking/preemption invariants).
     pub chunked_prefill: Option<ChunkPolicy>,
     /// Opt-in iteration-level preemption. `None` (the default) keeps every
     /// replay bit-identical to the pre-preemption engine. `Some` enables
@@ -322,15 +324,14 @@ pub struct EngineConfig {
     /// latency outranks prefill), and KV-pool pressure may evict idle
     /// sessions' block charges with the chosen [`PreemptMode`].
     pub preempt: Option<PreemptMode>,
-    /// Opt-in overlap-aware track executor. `None` (the default) keeps the
-    /// scalar service-time device model and every replay bit-identical.
+    /// Opt-in overlap-aware track executor. `None` (the default) places
+    /// every launch as a whole-device span of its scalar service time.
     /// `Some` lowers each launch into per-tile stage demands flow-shop
     /// scheduled over the device's DMA-in/MAC/VEC/writeback tracks
-    /// ([`mas_sim::DeviceTracks`]); a launch commits the earlier of the
-    /// scalar span and the track schedule, so makespans are never worse
-    /// than the scalar model's, and [`TrackConfig::degenerate`] reproduces
-    /// the scalar model bit-for-bit. Admission, deadline screening and
-    /// budget sizing keep using the scalar estimates in both modes.
+    /// ([`mas_sim::DeviceTracks`]); a launch commits the track schedule only
+    /// when it finishes strictly before the scalar span, so makespans are
+    /// never worse than the scalar model's. Admission, deadline screening
+    /// and budget sizing keep using the scalar estimates in both modes.
     pub tracks: Option<TrackConfig>,
 }
 
@@ -607,11 +608,12 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] before any work if a prefill
-    /// request or decode step has a non-finite or negative arrival time, or
-    /// a prefill request has a non-finite or negative deadline. Otherwise
-    /// returns a [`mas_sim::SimError`] if a prefill batch that passed
-    /// admission fails to plan or simulate; decode steps never plan and so
-    /// never fail.
+    /// request or decode step has a non-finite or negative arrival time, a
+    /// prefill request has a non-finite or negative deadline or a zero
+    /// workload dimension, or a decode session has a zero embedding size.
+    /// Otherwise returns a [`mas_sim::SimError`] if a prefill batch that
+    /// passed admission fails to plan or simulate; decode steps never plan
+    /// and so never fail.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
         validate_inputs(prefill, decode)?;
         let hw = self.planner.hardware().clone();
@@ -723,7 +725,6 @@ impl ServeEngine {
             tuned: self.config.planner.tiling == TilingStrategy::Search,
             max_batch: self.config.batching.max_batch.max(1),
             max_steps_per_launch: self.config.decode.effective_max_steps_per_launch(),
-            free_at: vec![0.0f64; self.config.devices.max(1)],
             busy_prefill: vec![0.0f64; self.config.devices.max(1)],
             busy_decode: vec![0.0f64; self.config.devices.max(1)],
             idle_gaps: vec![0usize; self.config.devices.max(1)],
@@ -734,14 +735,11 @@ impl ServeEngine {
             sessions,
             releases: Vec::new(),
             ledger: ReleaseLedger::default(),
-            chunk_chains: BTreeMap::new(),
+            chunk_chains: Vec::new(),
             staged: (0..self.config.devices.max(1)).map(|_| None).collect(),
             preemptions_prefill: 0,
             preemptions_decode: 0,
-            tracks: self
-                .config
-                .tracks
-                .map(|_| vec![DeviceTracks::new(); self.config.devices.max(1)]),
+            tracks: vec![DeviceTracks::new(); self.config.devices.max(1)],
             estimator: BacklogEstimator::new(self.config.devices),
             kv_in_use: 0,
             kv_used: 0,
@@ -831,7 +829,7 @@ impl ServeEngine {
             })
             .collect();
         self.telemetry = recorder.map(TelemetryRecorder::finish);
-        self.track_stats = tracks;
+        self.track_stats = self.config.tracks.map(|_| tracks);
 
         let launches = prefill_report.batches + decode_report.launches;
         Ok(EngineReport {
@@ -851,12 +849,15 @@ impl ServeEngine {
     }
 }
 
-/// Rejects inputs the event loop cannot order or judge: a non-finite or
-/// negative arrival time on a prefill request or decode step, and a
-/// non-finite or negative prefill deadline.
+/// Rejects inputs the event loop cannot order, judge or cost: a non-finite
+/// or negative arrival time on a prefill request or decode step, a
+/// non-finite or negative prefill deadline, a prefill workload with a zero
+/// dimension, and a decode session with a zero embedding size. (Zero heads
+/// or KV heads on a session are an invalid head grouping, which admission
+/// rejects as [`DecodeRejectReason::InfeasibleSession`].)
 fn validate_inputs(prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<()> {
     let bad = |t: f64| !(t.is_finite() && t >= 0.0);
-    let problem = prefill
+    let bad_time = prefill
         .iter()
         .find_map(|r| {
             if bad(r.arrival_s) {
@@ -879,11 +880,27 @@ fn validate_inputs(prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<()>
                 e.step_index, e.session_id, e.arrival_s
             ))
         });
-    problem.map_or(Ok(()), |what| {
-        Err(SimError::InvalidConfig {
-            reason: format!("{what}; times must be finite and non-negative"),
-        })
-    })
+    let zero_dimension = || {
+        prefill
+            .iter()
+            .find_map(|r| {
+                let w = &r.workload;
+                (w.batch == 0 || w.heads == 0 || w.seq_len == 0 || w.embed == 0).then(|| {
+                    format!(
+                        "prefill request {} has batch {}, heads {}, seq_len {}, embed {}",
+                        r.id, w.batch, w.heads, w.seq_len, w.embed
+                    )
+                })
+            })
+            .or_else(|| {
+                let spec = decode.sessions.iter().find(|spec| spec.embed == 0)?;
+                Some(format!("decode session {} has embed 0", spec.id))
+            })
+    };
+    let reason = bad_time
+        .map(|what| format!("{what}; times must be finite and non-negative"))
+        .or_else(|| zero_dimension().map(|what| format!("{what}; dimensions must be non-zero")));
+    reason.map_or(Ok(()), |reason| Err(SimError::InvalidConfig { reason }))
 }
 
 /// Plans one uncached prefill key: tiling via the plan-only entry point,
@@ -967,11 +984,18 @@ impl ReleaseLedger {
     }
 }
 
-/// One in-flight chunked-prefill chain: the sealed batch's members and
-/// launch payload, the chunk layout, and the lazy-dispatch cursor. The
-/// chain id is the launch id of the chain's first chunk.
+/// One in-flight prefill chain: the sealed batch's members and launch
+/// payload, its chunk layout, and the lazy-dispatch cursor. Every prefill
+/// batch is a chain of at least one chunk; a one-chunk chain is a
+/// monolithic batch.
 struct ChunkChain {
+    /// The chain id: the launch id of its first chunk.
+    id: u64,
     requests: Vec<ServeRequest>,
+    /// The batch's coalescing key: a one-chunk chain launches under
+    /// [`LaunchKey::Prefill`], longer chains under
+    /// [`LaunchKey::PrefillChunk`].
+    batch_key: BatchKey,
     /// Summed member activation charge, released once at chain completion.
     charged_bytes: u64,
     total_batch: usize,
@@ -979,18 +1003,8 @@ struct ChunkChain {
     /// (earlier chunks carry zero) and split across members at completion.
     energy_pj: f64,
     cache_hit: bool,
-    chunk_sizes: Vec<usize>,
-    /// Per-chunk service seconds: the monolithic plan's seconds split
-    /// proportionally to each chunk's closed-form demand bound, plus one
-    /// launch-issue overhead for every chunk after the first (the modeled
-    /// cost of chunking). The chain's total service is therefore the
-    /// monolithic service plus `(chunks - 1)` issue overheads.
-    chunk_service_s: Vec<f64>,
-    /// Per-chunk demands, which priced the split above and profile each
-    /// chunk for the overlap executor (the chunk shapes are gone by
-    /// placement time, so the demands are precomputed at dispatch).
-    chunk_demands: Vec<TrackDemand>,
-    /// Index of the next chunk to place (`chunk_sizes.len()` = all placed).
+    chunks: Vec<ChainChunk>,
+    /// Index of the next chunk to place (`chunks.len()` = all placed).
     next_index: usize,
     /// Earliest instant the next chunk may start: the batch's ready time
     /// for chunk 0, then the previous chunk's completion.
@@ -1000,69 +1014,82 @@ struct ChunkChain {
     /// Running sum of hardened chunk service times, accumulated in chunk
     /// order (chunks harden in start order, and chain starts ascend).
     service_sum_s: f64,
-    /// Chunks hardened so far; the chain finalizes at `chunk_sizes.len()`.
+    /// Chunks hardened so far; the chain finalizes at `chunks.len()`.
     done_chunks: usize,
     /// The last chunk's `(launch_id, completion_s, device)`, set at its
     /// harden — member outcomes close on it.
     last_span: Option<(u64, f64, usize)>,
 }
 
-/// A placed prefill-class launch whose effects (events, outcomes, budget
-/// release, utilization tallies) are deferred until it *starts*: while
-/// staged, a deadline-pressed decode launch may displace it back to the
-/// queue. Device `free_at` is already advanced past the span —
-/// `prev_free_s` is what displacement rolls back to.
-struct StagedSpan {
-    launch_id: u64,
-    key: LaunchKey,
-    device: usize,
-    ready_s: f64,
-    start_s: f64,
+/// The cost of one chunk of a [`ChunkChain`], fixed at dispatch.
+struct ChainChunk {
+    /// Scalar service seconds. A one-chunk chain takes the plan's seconds
+    /// unchanged. Longer chains split the plan's seconds in proportion to
+    /// each chunk's closed-form demand bound, plus one launch-issue
+    /// overhead for every chunk after the first (the modeled cost of
+    /// chunking), so their total service is the monolithic service plus
+    /// `(chunks - 1)` issue overheads.
     service_s: f64,
-    completion_s: f64,
-    /// `free_at[device]` before this span was placed (displacement rolls
-    /// back to it).
-    prev_free_s: f64,
-    /// The idle-gap verdict captured at placement (against the device's
-    /// pre-placement completion), applied at harden.
-    gap: bool,
+    /// What the backlog estimator is fed: the merged workload's service
+    /// lower bound for a one-chunk chain, the chunk's own service time for
+    /// longer chains.
+    est_service_s: f64,
+    /// The chunk's four-track demand (the whole merged workload for a
+    /// one-chunk chain), which the track executor stages.
+    demand: TrackDemand,
+}
+
+/// One launch ready for placement: its identity, its cost, and what its
+/// dispatch record carries.
+struct Launch {
+    id: u64,
+    key: LaunchKey,
+    ready_s: f64,
+    /// Scalar-model service seconds.
+    service_s: f64,
+    /// What the backlog estimator is fed at accounting. Always a scalar
+    /// estimate, even when the track executor commits a shorter span, so
+    /// admission stays identical across device models.
+    est_service_s: f64,
+    /// The four-track demand the track executor stages.
+    demand: TrackDemand,
+    /// The launch-issue overhead inside `service_s` that the track
+    /// executor keeps as a separate MAC-queue term (zero when a plan
+    /// already amortizes it).
+    issue_s: f64,
     members: u32,
     total_batch: u32,
     energy_pj: f64,
     cache_hit: bool,
     cause: SealCause,
-    /// What the backlog estimator is fed at harden (the merged workload's
-    /// service lower bound for monolithic batches — the legacy feed — and
-    /// the chunk's own service time for chunks). Always the *scalar*
-    /// estimate, even when the track executor commits a shorter span, so
-    /// admission stays identical across modes.
-    est_service_s: f64,
-    /// The scalar-model service time the span was placed with (equals
-    /// `service_s` on scalar commits); a displaced span re-places with it.
-    scalar_service_s: f64,
-    /// The launch's four-track demand and issue overhead (`None` with the
-    /// track executor off), kept so a displaced span re-places with the
-    /// same profile.
-    profile: Option<(TrackDemand, f64)>,
-    /// The flow-shop stage spans when the track executor committed this
-    /// span (`None` = scalar commit); emitted as telemetry at harden.
-    stages: Option<Vec<StageSpan>>,
-    /// The device's track state before this placement; displacement rolls
-    /// back to it (`None` with the track executor off).
-    prev_tracks: Option<DeviceTracks>,
-    payload: StagedPayload,
 }
 
-/// What a prefill-class span completes into at harden.
-enum StagedPayload {
-    /// A monolithic prefill batch: member outcomes close on the span.
-    Batch {
-        requests: Vec<ServeRequest>,
-        charged_bytes: u64,
-    },
-    /// One chunk of a chain: the chain aggregates, and finalizes when all
-    /// its chunks have hardened.
-    Chunk { chain: u64, index: usize },
+/// Where a launch landed on the device timeline.
+struct Span {
+    device: usize,
+    start_s: f64,
+    completion_s: f64,
+    service_s: f64,
+    /// Whether the launch started strictly after the device's previous
+    /// completion (not counting the device's first launch).
+    gap: bool,
+    /// The flow-shop stage spans of a track-executor commit (`None` for a
+    /// whole-device scalar span); recorded as telemetry at accounting.
+    stages: Option<Vec<StageSpan>>,
+    /// The device's timeline before this placement; displacement rolls
+    /// back to it.
+    prev: DeviceTracks,
+}
+
+/// A placed prefill chunk whose effects (events, outcomes, budget release,
+/// utilization tallies) are deferred until it *starts*: while staged, a
+/// deadline-pressed decode launch may displace it back to its chain. The
+/// device timeline already covers the span.
+struct StagedSpan {
+    launch: Launch,
+    span: Span,
+    chain: u64,
+    index: usize,
 }
 
 /// Tracks the shared-budget high-water mark with its per-class split.
@@ -1216,7 +1243,6 @@ struct EngineRun<'a> {
     tuned: bool,
     max_batch: usize,
     max_steps_per_launch: usize,
-    free_at: Vec<f64>,
     /// Per-device busy seconds by class. Always accounted (cheap adds);
     /// the report builder sums them into [`DeviceUtil`] and populates the
     /// per-class `device_busy_s` vectors only for classes that launched.
@@ -1234,9 +1260,9 @@ struct EngineRun<'a> {
     /// Live-charge ledger guarding against double releases (see
     /// [`ReleaseLedger`]).
     ledger: ReleaseLedger,
-    /// In-flight chunked-prefill chains by chain id
-    /// ([`EngineConfig::chunked_prefill`]).
-    chunk_chains: BTreeMap<u64, ChunkChain>,
+    /// In-flight prefill chains, in no particular order (lookups go by
+    /// chain id; at most a few chains are live at once).
+    chunk_chains: Vec<ChunkChain>,
     /// At most one staged (placed, effects-deferred, displaceable)
     /// prefill-class span per device. Always empty unless slot preemption
     /// is active ([`EngineConfig::preempt`] under
@@ -1246,11 +1272,11 @@ struct EngineRun<'a> {
     preemptions_prefill: usize,
     /// Sessions whose KV charge was evicted under pool pressure.
     preemptions_decode: usize,
-    /// Per-device continuous-time track clocks, `Some` only under
-    /// [`EngineConfig::tracks`]. Every launch placement either commits a
-    /// flow-shop schedule here or barriers the clocks behind its scalar
-    /// span, so the clocks always cover everything committed to `free_at`.
-    tracks: Option<Vec<DeviceTracks>>,
+    /// The device timeline: one [`DeviceTracks`] per device, free at its
+    /// largest track clock. Every launch places here — as a flow-shop
+    /// schedule under [`EngineConfig::tracks`], otherwise as a
+    /// whole-device scalar span.
+    tracks: Vec<DeviceTracks>,
     estimator: BacklogEstimator,
     kv_in_use: u64,
     kv_used: u64,
@@ -1283,101 +1309,125 @@ impl EngineRun<'_> {
         }
     }
 
-    /// Accounts one launch on a device's utilization tallies. Must run
-    /// *before* `free_at[device]` advances to the launch's completion: the
-    /// idle-gap test compares the start against the previous completion.
-    fn note_device_span(&mut self, device: usize, class: WorkClass, start_s: f64, service_s: f64) {
-        if self.launch_counts[device] > 0 && start_s > self.free_at[device] {
-            self.idle_gaps[device] += 1;
-        }
-        self.launch_counts[device] += 1;
-        match class {
-            WorkClass::Prefill => self.busy_prefill[device] += service_s,
-            WorkClass::Decode => self.busy_decode[device] += service_s,
-        }
-    }
-
-    /// Attempts the overlap-aware flow-shop placement of one launch on
-    /// `device` and commits whichever candidate completes earlier:
-    ///
-    /// * Returns `Some(placement)` — and commits it to the device's track
-    ///   clocks — when the stage DAG beats the scalar span strictly.
-    /// * Returns `None` — and barriers the track clocks behind
-    ///   `scalar_completion_s` — when the scalar candidate wins (ties go to
-    ///   scalar), the demand profile is missing, or its bound is zero.
-    ///
-    /// The stage durations spread the launch's *modeled* service time (not
-    /// just the roofline bound) over the streams: each track's ideal
-    /// seconds are stretched by `(scalar_service − issue) / bound ≥ 1`, so
-    /// tiling slack and simulation overheads are conserved, and the issue
-    /// overhead rides the MAC queue ahead of the first compute stage where
-    /// it can hide under the first tile's DMA. With
-    /// [`TrackConfig::degenerate`] the serialized DAG is provably ≥ the
-    /// scalar span, so scalar always wins and replays stay bit-identical.
-    fn try_track_placement(
-        &mut self,
-        device: usize,
-        ready_s: f64,
-        scalar_service_s: f64,
-        scalar_completion_s: f64,
-        profile: Option<&(TrackDemand, f64)>,
-    ) -> Option<TrackPlacement> {
-        let cfg = self.config.tracks?;
-        let stage_s: Option<Vec<[f64; TRACK_COUNT]>> = profile.and_then(|(demand, issue_s)| {
-            let bound = demand.bound_seconds(&self.hw);
-            if bound <= 0.0 {
-                return None;
-            }
-            let stretch = ((scalar_service_s - issue_s) / bound).max(1.0);
-            let mut stages: Vec<[f64; TRACK_COUNT]> = demand
-                .split_stages(cfg.stages)
-                .iter()
-                .map(|d| {
-                    let mut s = d.track_seconds(&self.hw);
-                    for v in &mut s {
-                        *v *= stretch;
-                    }
-                    s
-                })
-                .collect();
-            if *issue_s > 0.0 {
-                stages[0][TrackKind::Mac.index()] += *issue_s;
-            }
-            Some(stages)
-        });
-        let dev = &mut self.tracks.as_mut()?[device];
-        if let Some(stage_s) = stage_s {
-            let placement = dev.plan(ready_s, &stage_s, cfg.fused_queue);
-            if placement.completion_s < scalar_completion_s {
-                dev.commit(&placement);
-                return Some(placement);
-            }
-            // Scalar wins: the launch occupies the whole device, but its
-            // demand still loads specific queues — attribute it so the
-            // per-track busy figures expose the workload's regime
-            // (DMA-bound vs MAC-bound) on either commit path.
-            let mut seconds = [0.0; TRACK_COUNT];
-            for durs in &stage_s {
-                for (sum, d) in seconds.iter_mut().zip(durs) {
-                    *sum += d;
-                }
-            }
-            dev.barrier(scalar_completion_s);
-            dev.attribute(seconds);
-            return None;
-        }
-        dev.barrier(scalar_completion_s);
-        None
+    /// The launch-issue overhead of one device launch, in seconds.
+    fn issue_s(&self) -> f64 {
+        self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz
     }
 
     /// The earliest-free virtual device (first index on ties).
     fn earliest_free_device(&self) -> usize {
-        self.free_at
+        self.tracks
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("times are finite"))
+            .min_by(|(_, a), (_, b)| {
+                a.free_s()
+                    .partial_cmp(&b.free_s())
+                    .expect("times are finite")
+            })
             .map(|(i, _)| i)
             .expect("at least one device")
+    }
+
+    /// Places `launch` on `device`'s timeline ([`DeviceTracks::place`]).
+    /// Under [`EngineConfig::tracks`] its demand is staged over the tracks
+    /// and the flow-shop schedule commits when it beats the scalar span;
+    /// otherwise the launch takes the scalar span.
+    fn place(&mut self, device: usize, launch: &Launch) -> Span {
+        let prev = self.tracks[device];
+        let stage_s = self.config.tracks.and_then(|cfg| {
+            launch
+                .demand
+                .stage_seconds(&self.hw, cfg.stages, launch.service_s, launch.issue_s)
+        });
+        let placed =
+            self.tracks[device].place(launch.ready_s, launch.service_s, stage_s.as_deref());
+        Span {
+            device,
+            start_s: placed.start_s,
+            completion_s: placed.completion_s,
+            service_s: placed.service_s,
+            gap: self.launch_counts[device] > 0 && placed.start_s > prev.free_s(),
+            stages: placed.stages,
+            prev,
+        }
+    }
+
+    /// Accounts one placed launch of either class: utilization tallies,
+    /// makespans, launch counts, the backlog estimate, and the launch's
+    /// dispatch and stage events.
+    fn account(&mut self, launch: &Launch, span: &Span) {
+        let device = span.device;
+        if span.gap {
+            self.idle_gaps[device] += 1;
+        }
+        self.launch_counts[device] += 1;
+        match launch.key.class() {
+            WorkClass::Prefill => {
+                self.busy_prefill[device] += span.service_s;
+                self.prefill_report.makespan_s =
+                    self.prefill_report.makespan_s.max(span.completion_s);
+                self.prefill_report.batches += 1;
+            }
+            WorkClass::Decode => {
+                self.busy_decode[device] += span.service_s;
+                self.decode_report.makespan_s =
+                    self.decode_report.makespan_s.max(span.completion_s);
+                self.decode_report.launches += 1;
+            }
+        }
+        self.makespan_s = self.makespan_s.max(span.completion_s);
+        // Decode launches occupy the shared timeline too, so both classes
+        // feed the backlog estimate prefill admission sees.
+        self.estimator.feed(launch.ready_s, launch.est_service_s);
+        let Some(recorder) = self.recorder.as_mut() else {
+            return;
+        };
+        recorder.record(
+            span.start_s,
+            EventKind::LaunchDispatched {
+                launch_id: launch.id,
+                key: launch.key,
+                device: device as u32,
+                ready_s: launch.ready_s,
+                start_s: span.start_s,
+                completion_s: span.completion_s,
+                service_s: span.service_s,
+                members: launch.members,
+                total_batch: launch.total_batch,
+                energy_pj: launch.energy_pj,
+                cache_hit: launch.cache_hit,
+                cause: launch.cause,
+            },
+        );
+        for s in span.stages.iter().flatten() {
+            recorder.record(
+                s.start_s,
+                EventKind::LaunchStage {
+                    launch_id: launch.id,
+                    device: device as u32,
+                    track: s.track,
+                    stage: s.stage as u32,
+                    start_s: s.start_s,
+                    end_s: s.end_s,
+                },
+            );
+        }
+    }
+
+    /// The live chain with id `chain_id`.
+    fn chain(&mut self, chain_id: u64) -> &mut ChunkChain {
+        self.chunk_chains
+            .iter_mut()
+            .find(|c| c.id == chain_id)
+            .expect("chain exists")
+    }
+
+    /// Hardens the staged span on `device`, if any, before a new launch
+    /// places behind it, so per-device event order stays start order.
+    fn pin_incumbent(&mut self, device: usize) {
+        if let Some(limit) = self.staged[device].as_ref().map(|s| s.span.start_s) {
+            self.harden_through(limit);
+        }
     }
 
     /// Whether slot preemption is active: prefill-class placements stage
@@ -1423,10 +1473,10 @@ impl EngineRun<'_> {
             let next = self
                 .chunk_chains
                 .iter()
-                .filter(|(_, chain)| {
-                    chain.next_index < chain.chunk_sizes.len() && chain.next_ready_s <= now_s
+                .filter(|chain| {
+                    chain.next_index < chain.chunks.len() && chain.next_ready_s <= now_s
                 })
-                .map(|(id, chain)| (chain.next_ready_s, *id))
+                .map(|chain| (chain.next_ready_s, chain.id))
                 .min_by(|a, b| a.partial_cmp(b).expect("ready times are finite"));
             let Some((_, chain_id)) = next else { return };
             if self.staging_active() {
@@ -1438,8 +1488,8 @@ impl EngineRun<'_> {
                 // the chain stays ready and places once the incumbent
                 // starts (hardens) or is displaced.
                 let device = self.earliest_free_device();
-                if let Some(span) = self.staged[device].as_ref() {
-                    if span.start_s > now_s {
+                if let Some(staged) = self.staged[device].as_ref() {
+                    if staged.span.start_s > now_s {
                         return;
                     }
                 }
@@ -1452,158 +1502,77 @@ impl EngineRun<'_> {
     /// the batch's real seal cause for chunk 0 and [`SealCause::Chain`]
     /// for every later chunk.
     fn place_chunk(&mut self, chain_id: u64, cause: SealCause) {
-        let chain = self.chunk_chains.get(&chain_id).expect("chain exists");
-        let index = chain.next_index;
-        let of = chain.chunk_sizes.len();
-        let service_s = chain.chunk_service_s[index];
-        let ready_s = chain.next_ready_s;
-        let members = chain.requests.len() as u32;
-        let total_batch = chain.total_batch as u32;
-        // Member outcomes split the plan's energy via the *last* chunk's
-        // launch record; earlier chunks carry zero.
-        let energy_pj = if index + 1 == of {
-            chain.energy_pj
-        } else {
-            0.0
-        };
-        let cache_hit = chain.cache_hit;
-        // The chunk's track profile (none with the executor off). Chunks
-        // after the first carry the one launch-issue overhead their service
-        // time was charged with.
-        let profile = self.tracks.is_some().then(|| {
-            let issue_s = if index > 0 {
-                self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz
-            } else {
-                0.0
-            };
-            (chain.chunk_demands[index], issue_s)
-        });
-        let key = LaunchKey::PrefillChunk(ChunkKey {
-            chain: chain_id,
-            index: index as u32,
-            of: of as u32,
-        });
+        let index = self.chain(chain_id).next_index;
         // Chunk 0 reuses the chain id (it *is* the sealed batch's launch);
         // later chunks draw fresh ids from the shared launch-id space.
-        let launch_id = if index == 0 {
+        let id = if index == 0 {
             chain_id
         } else {
             let id = self.next_launch_id;
             self.next_launch_id += 1;
             id
         };
-        self.chunk_chains
-            .get_mut(&chain_id)
-            .expect("chain exists")
-            .next_index = index + 1;
-        let completion_s = self.place_prefill_span(
-            launch_id,
-            key,
-            ready_s,
-            service_s,
-            members,
-            total_batch,
-            energy_pj,
-            cache_hit,
-            cause,
-            service_s,
-            profile,
-            StagedPayload::Chunk {
+        let issue_s = self.issue_s();
+        let chain = self.chain(chain_id);
+        chain.next_index = index + 1;
+        let of = chain.chunks.len();
+        let chunk = &chain.chunks[index];
+        // A one-chunk chain is a monolithic batch and keeps the batch key.
+        let key = if of == 1 {
+            LaunchKey::Prefill(chain.batch_key)
+        } else {
+            LaunchKey::PrefillChunk(ChunkKey {
                 chain: chain_id,
-                index,
+                index: index as u32,
+                of: of as u32,
+            })
+        };
+        let launch = Launch {
+            id,
+            key,
+            ready_s: chain.next_ready_s,
+            service_s: chunk.service_s,
+            est_service_s: chunk.est_service_s,
+            demand: chunk.demand,
+            // Chunks after the first carry the one launch-issue overhead
+            // their service time was charged with; chunk 0's plan already
+            // amortizes its issue cost.
+            issue_s: if index > 0 { issue_s } else { 0.0 },
+            members: chain.requests.len() as u32,
+            total_batch: chain.total_batch as u32,
+            // Member outcomes split the plan's energy via the *last*
+            // chunk's launch record; earlier chunks carry zero.
+            energy_pj: if index + 1 == of {
+                chain.energy_pj
+            } else {
+                0.0
             },
-        );
-        // On the immediate (non-staging) path the last chunk hardens inside
-        // `place_prefill_span`, finalizing and removing the chain — the
-        // cursor update is moot then.
-        if let Some(chain) = self.chunk_chains.get_mut(&chain_id) {
+            cache_hit: chain.cache_hit,
+            cause,
+        };
+        // One staged span per device: the incumbent's slot is committed —
+        // the new span starts after it.
+        let device = self.earliest_free_device();
+        self.pin_incumbent(device);
+        let span = self.place(device, &launch);
+        let completion_s = span.completion_s;
+        let staged = StagedSpan {
+            launch,
+            span,
+            chain: chain_id,
+            index,
+        };
+        if self.staging_active() {
+            self.staged[device] = Some(staged);
+        } else {
+            self.harden_span(staged);
+        }
+        // On the immediate (non-staging) path the last chunk hardens above,
+        // finalizing and removing the chain — the cursor update is moot
+        // then.
+        if let Some(chain) = self.chunk_chains.iter_mut().find(|c| c.id == chain_id) {
             chain.next_ready_s = completion_s;
         }
-    }
-
-    /// Places one prefill-class span on the earliest-free device and either
-    /// hardens it immediately (the legacy path, bit-identical with
-    /// preemption off) or stages it for possible displacement. Returns the
-    /// span's completion instant.
-    #[allow(clippy::too_many_arguments)]
-    fn place_prefill_span(
-        &mut self,
-        launch_id: u64,
-        key: LaunchKey,
-        ready_s: f64,
-        service_s: f64,
-        members: u32,
-        total_batch: u32,
-        energy_pj: f64,
-        cache_hit: bool,
-        cause: SealCause,
-        est_service_s: f64,
-        profile: Option<(TrackDemand, f64)>,
-        payload: StagedPayload,
-    ) -> f64 {
-        let staging = self.staging_active();
-        let device = self.earliest_free_device();
-        if staging {
-            if let Some(span) = self.staged[device].as_ref() {
-                // One staged span per device: pin the incumbent (its slot
-                // is committed — the new span starts after it) in global
-                // start order.
-                let limit = span.start_s;
-                self.harden_through(limit);
-            }
-        }
-        let prev_free_s = self.free_at[device];
-        let scalar_start_s = prev_free_s.max(ready_s);
-        let scalar_completion_s = scalar_start_s + service_s;
-        let mut start_s = scalar_start_s;
-        let mut completion_s = scalar_completion_s;
-        let mut span_service_s = service_s;
-        let mut stages = None;
-        let prev_tracks = self.tracks.as_ref().map(|t| t[device]);
-        if self.tracks.is_some() {
-            if let Some(p) = self.try_track_placement(
-                device,
-                ready_s,
-                service_s,
-                scalar_completion_s,
-                profile.as_ref(),
-            ) {
-                start_s = p.start_s;
-                completion_s = p.completion_s;
-                span_service_s = completion_s - start_s;
-                stages = Some(p.stages);
-            }
-        }
-        let gap = self.launch_counts[device] > 0 && start_s > prev_free_s;
-        self.free_at[device] = completion_s;
-        let span = StagedSpan {
-            launch_id,
-            key,
-            device,
-            ready_s,
-            start_s,
-            service_s: span_service_s,
-            completion_s,
-            prev_free_s,
-            gap,
-            members,
-            total_batch,
-            energy_pj,
-            cache_hit,
-            cause,
-            est_service_s,
-            scalar_service_s: service_s,
-            profile,
-            stages,
-            prev_tracks,
-            payload,
-        };
-        if staging {
-            self.staged[device] = Some(span);
-        } else {
-            self.harden_span(span);
-        }
-        completion_s
     }
 
     /// Hardens every staged span whose start is at or before `limit_s`, in
@@ -1615,7 +1584,7 @@ impl EngineRun<'_> {
                 .staged
                 .iter()
                 .enumerate()
-                .filter_map(|(d, slot)| slot.as_ref().map(|span| (span.start_s, d)))
+                .filter_map(|(d, slot)| slot.as_ref().map(|staged| (staged.span.start_s, d)))
                 .min_by(|a, b| a.partial_cmp(b).expect("start times are finite"));
             let Some((start_s, device)) = next else {
                 return;
@@ -1623,132 +1592,47 @@ impl EngineRun<'_> {
             if start_s > limit_s {
                 return;
             }
-            let span = self.staged[device].take().expect("selected above");
-            self.harden_span(span);
+            let staged = self.staged[device].take().expect("selected above");
+            self.harden_span(staged);
         }
     }
 
-    /// Applies a placed span's deferred effects: utilization tallies,
-    /// makespans, the launch event, and the payload's completions. The
-    /// effect order matches the legacy dispatch path exactly, so the
-    /// immediate (preemption-off) path is bit-identical to it.
-    fn harden_span(&mut self, span: StagedSpan) {
-        let device = span.device;
-        if span.gap {
-            self.idle_gaps[device] += 1;
+    /// Applies a placed chunk's deferred effects: its launch accounting,
+    /// then its chain's progress, finalizing the chain at its last chunk.
+    fn harden_span(&mut self, staged: StagedSpan) {
+        let StagedSpan {
+            launch,
+            span,
+            chain,
+            index,
+        } = staged;
+        self.account(&launch, &span);
+        let c = self.chain(chain);
+        if index == 0 {
+            c.first_start_s = span.start_s;
         }
-        self.launch_counts[device] += 1;
-        self.busy_prefill[device] += span.service_s;
-        self.prefill_report.makespan_s = self.prefill_report.makespan_s.max(span.completion_s);
-        self.makespan_s = self.makespan_s.max(span.completion_s);
-        self.prefill_report.batches += 1;
-        self.estimator.feed(span.ready_s, span.est_service_s);
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                span.start_s,
-                EventKind::LaunchDispatched {
-                    launch_id: span.launch_id,
-                    key: span.key,
-                    device: device as u32,
-                    ready_s: span.ready_s,
-                    start_s: span.start_s,
-                    completion_s: span.completion_s,
-                    service_s: span.service_s,
-                    members: span.members,
-                    total_batch: span.total_batch,
-                    energy_pj: span.energy_pj,
-                    cache_hit: span.cache_hit,
-                    cause: span.cause,
-                },
-            );
-            if let Some(stages) = span.stages.as_ref() {
-                for s in stages {
-                    recorder.record(
-                        s.start_s,
-                        EventKind::LaunchStage {
-                            launch_id: span.launch_id,
-                            device: device as u32,
-                            track: s.track,
-                            stage: s.stage as u32,
-                            start_s: s.start_s,
-                            end_s: s.end_s,
-                        },
-                    );
-                }
-            }
+        c.service_sum_s += span.service_s;
+        c.done_chunks += 1;
+        if index + 1 == c.chunks.len() {
+            c.last_span = Some((launch.id, span.completion_s, span.device));
         }
-        match span.payload {
-            StagedPayload::Batch {
-                requests,
-                charged_bytes,
-            } => {
-                let total = f64::from(span.total_batch);
-                for request in &requests {
-                    let latency_s = span.completion_s - request.arrival_s;
-                    let deadline_met = request.deadline_s.is_none_or(|d| latency_s <= d);
-                    let energy_pj = span.energy_pj * request.workload.batch as f64 / total;
-                    self.prefill_report.total_energy_pj += energy_pj;
-                    self.prefill_report.outcomes.push(RequestOutcome {
-                        id: request.id,
-                        workload: request.workload.name.clone(),
-                        method: request.method,
-                        arrival_s: request.arrival_s,
-                        start_s: span.start_s,
-                        completion_s: span.completion_s,
-                        service_s: span.service_s,
-                        deadline_s: request.deadline_s,
-                        deadline_met,
-                        energy_pj,
-                        cache_hit: span.cache_hit,
-                        batch_id: span.launch_id,
-                        device,
-                    });
-                    if let Some(recorder) = self.recorder.as_mut() {
-                        recorder.record(
-                            span.completion_s,
-                            EventKind::PrefillCompleted {
-                                id: request.id,
-                                launch_id: span.launch_id,
-                            },
-                        );
-                        recorder.observe_latency(WorkClass::Prefill, latency_s);
-                    }
-                }
-                if charged_bytes > 0 {
-                    self.ledger.charge(MemOwner::PrefillLaunch(span.launch_id));
-                    self.releases.push((
-                        span.completion_s,
-                        Release::PrefillBytes {
-                            launch_id: span.launch_id,
-                            bytes: charged_bytes,
-                        },
-                    ));
-                }
-            }
-            StagedPayload::Chunk { chain, index } => {
-                let c = self.chunk_chains.get_mut(&chain).expect("chain exists");
-                if index == 0 {
-                    c.first_start_s = span.start_s;
-                }
-                c.service_sum_s += span.service_s;
-                c.done_chunks += 1;
-                if index + 1 == c.chunk_sizes.len() {
-                    c.last_span = Some((span.launch_id, span.completion_s, device));
-                }
-                if c.done_chunks == c.chunk_sizes.len() {
-                    self.finalize_chain(chain);
-                }
-            }
+        if c.done_chunks == c.chunks.len() {
+            self.finalize_chain(chain);
         }
     }
 
-    /// Completes a chunked-prefill chain once every chunk has hardened:
+    /// Completes a prefill chain once every chunk has hardened:
     /// member outcomes span the whole chain (queueing ends at the first
     /// chunk's start, service sums over every chunk, the last chunk's
     /// completion and device close the outcome, the chain id is the batch
     /// id) and the chain's activation charge releases exactly once.
     fn finalize_chain(&mut self, chain_id: u64) {
-        let chain = self.chunk_chains.remove(&chain_id).expect("chain exists");
+        let at = self
+            .chunk_chains
+            .iter()
+            .position(|c| c.id == chain_id)
+            .expect("chain exists");
+        let chain = self.chunk_chains.swap_remove(at);
         let (last_launch_id, completion_s, device) = chain
             .last_span
             .expect("last chunk hardened before finalize");
@@ -2518,9 +2402,10 @@ impl EngineRun<'_> {
         }
     }
 
-    /// Dispatches one prefill micro-batch: plan (cached), launch on the
-    /// earliest-free device, record per-request outcomes, schedule the
-    /// activation-charge release at completion.
+    /// Dispatches one prefill micro-batch: plan (cached), lower it into a
+    /// chain of one or more chunks, and place the first chunk on the
+    /// earliest-free device. Member outcomes and the activation-charge
+    /// release follow when the chain's last chunk hardens.
     fn dispatch_prefill(
         &mut self,
         batch_key: BatchKey,
@@ -2542,20 +2427,7 @@ impl EngineRun<'_> {
             })
             .collect();
         let total_batch: usize = requests.iter().map(|r| r.workload.batch).sum();
-        let merged = AttentionWorkload::new(
-            format!(
-                "serve-batch-{}x{}h{}n{}e{}",
-                requests.len(),
-                total_batch,
-                batch_key.heads,
-                batch_key.seq_len,
-                batch_key.embed
-            ),
-            total_batch,
-            batch_key.heads,
-            batch_key.seq_len,
-            batch_key.embed,
-        );
+        let merged = batch_key.merged_workload(requests.len(), total_batch);
         let cache_key = CacheKey::of(batch_key.method, &merged, &self.config.planner);
         if !self.cache.contains(&cache_key) {
             let plan = plan_one(self.planner, batch_key.method, &merged, self.tuned)?;
@@ -2577,106 +2449,100 @@ impl EngineRun<'_> {
 
         self.open_prefill_members -= requests.len();
 
-        // Chunked prefill: a batch longer than the chunk budget lowers
-        // into a chain of chunk launches. Chunk 0 places now with the
-        // batch's real seal cause; later chunks place lazily as virtual
-        // time reaches each predecessor's completion. A single-chunk
-        // layout falls through to the monolithic path below (and so stays
-        // bit-identical to it).
-        if let Some(policy) = self.config.chunked_prefill {
-            let chunk_sizes = policy.chunk_sizes(batch_key.seq_len);
-            if chunk_sizes.len() > 1 {
-                let chain_id = launch_id;
-                // Split the monolithic plan's seconds across chunks in
-                // proportion to each chunk's closed-form demand bound plus
-                // issue overhead (later chunks re-stream more prior KV, so
-                // they cost more per token); every chunk after the first
-                // adds one launch-issue overhead.
-                let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
-                let mut prefilled = 0usize;
-                let chunk_demands: Vec<TrackDemand> = chunk_sizes
-                    .iter()
-                    .map(|&tokens| {
-                        let chunk = PrefillChunk::new(
-                            total_batch,
-                            batch_key.heads,
-                            prefilled,
-                            tokens,
-                            batch_key.embed,
-                        );
-                        prefilled += tokens;
-                        TrackDemand::of_prefill_chunk(&chunk, &self.hw, self.kv_element_bytes)
-                    })
-                    .collect();
-                let raw: Vec<f64> = chunk_demands
-                    .iter()
-                    .map(|demand| demand.bound_seconds(&self.hw) + issue_s)
-                    .collect();
-                let raw_sum: f64 = raw.iter().sum();
-                let chunk_service_s: Vec<f64> = raw
-                    .iter()
-                    .enumerate()
-                    .map(|(k, r)| plan.seconds * r / raw_sum + if k > 0 { issue_s } else { 0.0 })
-                    .collect();
-                self.chunk_chains.insert(
-                    chain_id,
-                    ChunkChain {
-                        requests,
-                        charged_bytes,
-                        total_batch,
-                        energy_pj: plan.energy_pj,
-                        cache_hit: hit,
-                        chunk_sizes,
-                        chunk_service_s,
-                        chunk_demands,
-                        next_index: 0,
-                        next_ready_s: ready_s,
-                        first_start_s: 0.0,
-                        service_sum_s: 0.0,
-                        done_chunks: 0,
-                        last_span: None,
-                    },
-                );
-                self.place_chunk(chain_id, cause);
-                return Ok(());
-            }
-        }
-
-        let members = requests.len() as u32;
-        let est_service_s = service_time_lower_bound_s(&merged, &self.hw);
-        // A monolithic batch's plan already amortizes its issue cost into
-        // `plan.seconds`; the whole modeled service spreads over the
-        // streams via the stretch factor.
-        let profile = self
-            .tracks
-            .is_some()
-            .then(|| (TrackDemand::of_prefill(&merged, &self.hw), 0.0));
-        self.place_prefill_span(
-            launch_id,
-            LaunchKey::Prefill(batch_key),
-            ready_s,
-            plan.seconds,
-            members,
-            total_batch as u32,
-            plan.energy_pj,
-            hit,
-            cause,
-            est_service_s,
-            profile,
-            StagedPayload::Batch {
-                requests,
-                charged_bytes,
-            },
-        );
+        // Chunk 0 places now with the batch's real seal cause; later
+        // chunks place lazily as virtual time reaches each predecessor's
+        // completion.
+        let chunks = self.chain_chunks(batch_key, total_batch, &merged, plan.seconds);
+        self.chunk_chains.push(ChunkChain {
+            id: launch_id,
+            requests,
+            batch_key,
+            charged_bytes,
+            total_batch,
+            energy_pj: plan.energy_pj,
+            cache_hit: hit,
+            chunks,
+            next_index: 0,
+            next_ready_s: ready_s,
+            first_start_s: 0.0,
+            service_sum_s: 0.0,
+            done_chunks: 0,
+            last_span: None,
+        });
+        self.place_chunk(launch_id, cause);
         Ok(())
+    }
+
+    /// The chunk layout of a prefill batch whose plan takes `plan_s`
+    /// seconds. Without [`EngineConfig::chunked_prefill`], or when the
+    /// prompt fits one chunk, the batch is one chunk: the plan's seconds
+    /// unsplit and the merged workload's demand, whose plan already
+    /// amortizes its issue cost. Otherwise the plan's seconds split across
+    /// chunks in proportion to each chunk's closed-form demand bound plus
+    /// issue overhead (later chunks re-stream more prior KV, so they cost
+    /// more per token), and every chunk after the first adds one
+    /// launch-issue overhead.
+    fn chain_chunks(
+        &self,
+        batch_key: BatchKey,
+        total_batch: usize,
+        merged: &AttentionWorkload,
+        plan_s: f64,
+    ) -> Vec<ChainChunk> {
+        let chunk_sizes = match self.config.chunked_prefill {
+            Some(policy) => policy.chunk_sizes(batch_key.seq_len),
+            None => Vec::new(),
+        };
+        if chunk_sizes.len() <= 1 {
+            let demand = TrackDemand::of_prefill(merged, &self.hw);
+            return vec![ChainChunk {
+                service_s: plan_s,
+                est_service_s: demand.bound_seconds(&self.hw),
+                demand,
+            }];
+        }
+        let issue_s = self.issue_s();
+        let mut prefilled = 0usize;
+        let demands: Vec<TrackDemand> = chunk_sizes
+            .iter()
+            .map(|&tokens| {
+                let chunk = PrefillChunk::new(
+                    total_batch,
+                    batch_key.heads,
+                    prefilled,
+                    tokens,
+                    batch_key.embed,
+                );
+                prefilled += tokens;
+                TrackDemand::of_prefill_chunk(&chunk, &self.hw, self.kv_element_bytes)
+            })
+            .collect();
+        let raw: Vec<f64> = demands
+            .iter()
+            .map(|demand| demand.bound_seconds(&self.hw) + issue_s)
+            .collect();
+        let raw_sum: f64 = raw.iter().sum();
+        demands
+            .into_iter()
+            .zip(&raw)
+            .enumerate()
+            .map(|(k, (demand, r))| {
+                let service_s = plan_s * r / raw_sum + if k > 0 { issue_s } else { 0.0 };
+                ChainChunk {
+                    service_s,
+                    est_service_s: service_s,
+                    demand,
+                }
+            })
+            .collect()
     }
 
     /// Dispatches one batched decode launch: closed-form service time,
     /// earliest-free device, per-step outcomes, session-finish releases.
     /// With slot preemption active, a launch whose members would miss the
     /// step deadline may first displace a staged (not-yet-started)
-    /// prefill-class span; `now_s` judges "started" ([`f64::INFINITY`] at
-    /// flush disables displacement — everything has started by then).
+    /// prefill chunk; `now_s` judges "started" ([`f64::INFINITY`] at flush
+    /// disables displacement — everything has started by then).
     fn dispatch_decode(
         &mut self,
         decode_key: DecodeKey,
@@ -2701,7 +2567,7 @@ impl EngineRun<'_> {
         // resumes, their evicted context folded back in as a prefill-chunk
         // demand (integer sums, so member order cannot change it). The
         // scalar service time is its bound plus one issue overhead; the
-        // track profile keeps the overhead as a separate term the
+        // track executor keeps the overhead as a separate term the
         // flow-shop can hide under the KV stream.
         let (hw, kv_element_bytes) = (&self.hw, self.kv_element_bytes);
         let mut demand = TrackDemand::default();
@@ -2718,140 +2584,31 @@ impl EngineRun<'_> {
                 demand.accumulate(&TrackDemand::of_prefill_chunk(&chunk, hw, kv_element_bytes));
             }
         }
-        let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
+        let issue_s = self.issue_s();
         let service_s = demand.bound_seconds(&self.hw) + issue_s;
-        let profile = self.tracks.is_some().then_some((demand, issue_s));
-        let mut device = self.earliest_free_device();
-        let mut start_s = self.free_at[device].max(ready_s);
-        let mut requeue: Option<StagedSpan> = None;
-        if self.staging_active() && now_s.is_finite() {
-            if let Some(deadline) = self.config.decode.step_deadline_s {
-                let misses = |start: f64| {
-                    pending
-                        .iter()
-                        .filter(|p| start + service_s - p.arrival_s > deadline)
-                        .count()
-                };
-                if misses(start_s) > 0 {
-                    // Candidate victims: staged spans that have not started
-                    // yet. Pick the one whose rollback yields the earliest
-                    // decode start; displace only if that actually fixes a
-                    // deadline miss.
-                    let candidate = self
-                        .staged
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(d, slot)| {
-                            slot.as_ref().and_then(|span| {
-                                (span.start_s > now_s).then_some((span.prev_free_s.max(ready_s), d))
-                            })
-                        })
-                        .min_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-                    if let Some((cand_start, d)) = candidate {
-                        if cand_start < start_s && misses(cand_start) < misses(start_s) {
-                            let victim = self.staged[d].take().expect("candidate");
-                            self.free_at[d] = victim.prev_free_s;
-                            // Roll the device's track clocks back too: the
-                            // victim is always the device's last placement
-                            // (a newer one would have hardened it), so its
-                            // pre-placement snapshot is current.
-                            if let (Some(tracks), Some(prev)) =
-                                (self.tracks.as_mut(), victim.prev_tracks)
-                            {
-                                tracks[d] = prev;
-                            }
-                            self.preemptions_prefill += 1;
-                            if let Some(recorder) = self.recorder.as_mut() {
-                                recorder.record(
-                                    now_s,
-                                    EventKind::Preempted {
-                                        victim: PreemptVictim::Launch {
-                                            launch_id: victim.launch_id,
-                                            key: victim.key,
-                                            device: d as u32,
-                                            start_s: victim.start_s,
-                                        },
-                                    },
-                                );
-                            }
-                            requeue = Some(victim);
-                            device = self.earliest_free_device();
-                            start_s = self.free_at[device].max(ready_s);
-                        }
-                    }
-                }
-            }
-        }
-        if self.staged[device].is_some() {
-            // Pin the incumbent staged span (the decode launch starts after
-            // it) so per-device event order stays start order.
-            let limit = self.staged[device].as_ref().expect("present").start_s;
-            self.harden_through(limit);
-        }
-        let scalar_completion_s = start_s + service_s;
-        let mut completion_s = scalar_completion_s;
-        let mut span_service_s = service_s;
-        let mut stage_spans: Option<Vec<StageSpan>> = None;
-        if self.tracks.is_some() {
-            if let Some(p) = self.try_track_placement(
-                device,
-                ready_s,
-                service_s,
-                scalar_completion_s,
-                profile.as_ref(),
-            ) {
-                start_s = p.start_s;
-                completion_s = p.completion_s;
-                span_service_s = completion_s - start_s;
-                stage_spans = Some(p.stages);
-            }
-        }
-        self.note_device_span(device, WorkClass::Decode, start_s, span_service_s);
-        self.free_at[device] = completion_s;
-        self.decode_report.makespan_s = self.decode_report.makespan_s.max(completion_s);
-        self.makespan_s = self.makespan_s.max(completion_s);
-        self.decode_report.launches += 1;
-        // Decode launches occupy the shared timeline too: account them in
-        // the backlog estimate prefill admission sees. Always the scalar
-        // service, so admission decisions match across executor modes.
-        self.estimator.feed(ready_s, service_s);
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                start_s,
-                EventKind::LaunchDispatched {
-                    launch_id,
-                    key: LaunchKey::Decode(decode_key),
-                    device: device as u32,
-                    ready_s,
-                    start_s,
-                    completion_s,
-                    service_s: span_service_s,
-                    members: pending.len() as u32,
-                    total_batch: pending.len() as u32,
-                    energy_pj: 0.0,
-                    cache_hit: false,
-                    cause,
-                },
-            );
-            if let Some(stages) = stage_spans.as_ref() {
-                for s in stages {
-                    recorder.record(
-                        s.start_s,
-                        EventKind::LaunchStage {
-                            launch_id,
-                            device: device as u32,
-                            track: s.track,
-                            stage: s.stage as u32,
-                            start_s: s.start_s,
-                            end_s: s.end_s,
-                        },
-                    );
-                }
-            }
-        }
+        let members = pending.len() as u32;
+        let launch = Launch {
+            id: launch_id,
+            key: LaunchKey::Decode(decode_key),
+            ready_s,
+            service_s,
+            est_service_s: service_s,
+            demand,
+            issue_s,
+            members,
+            total_batch: members,
+            energy_pj: 0.0,
+            cache_hit: false,
+            cause,
+        };
+        let requeue = self.displace_for(&launch, &pending, now_s);
+        let device = self.earliest_free_device();
+        self.pin_incumbent(device);
+        let span = self.place(device, &launch);
+        self.account(&launch, &span);
+        let deadline_s = self.config.decode.step_deadline_s;
         for p in pending {
-            let deadline_s = self.config.decode.step_deadline_s;
-            let latency_s = completion_s - p.arrival_s;
+            let latency_s = span.completion_s - p.arrival_s;
             let session = self
                 .sessions
                 .get_mut(&p.session_id)
@@ -2860,16 +2617,16 @@ impl EngineRun<'_> {
             session.pending_steps -= 1;
             if session.finished() {
                 self.releases
-                    .push((completion_s, Release::Session(p.session_id)));
+                    .push((span.completion_s, Release::Session(p.session_id)));
             }
             self.decode_report.outcomes.push(DecodeStepOutcome {
                 session_id: p.session_id,
                 step_index: p.step_index,
                 context_len: p.context_len,
                 arrival_s: p.arrival_s,
-                start_s,
-                completion_s,
-                service_s: span_service_s,
+                start_s: span.start_s,
+                completion_s: span.completion_s,
+                service_s: span.service_s,
                 deadline_s,
                 deadline_met: deadline_s.is_none_or(|d| latency_s <= d),
                 launch_id,
@@ -2877,7 +2634,7 @@ impl EngineRun<'_> {
             });
             if let Some(recorder) = self.recorder.as_mut() {
                 recorder.record(
-                    completion_s,
+                    span.completion_s,
                     EventKind::DecodeCompleted {
                         session_id: p.session_id,
                         step_index: p.step_index as u32,
@@ -2888,41 +2645,79 @@ impl EngineRun<'_> {
                 recorder.observe_latency(WorkClass::Decode, latency_s);
             }
         }
-        // The displaced span re-places now — behind the decode launch, never
-        // dropped. A chunk victim rewinds its chain to the displaced index;
-        // the chain re-places it with the same identity.
+        // The displaced chunk re-places now — behind the decode launch,
+        // never dropped: its chain rewinds to the displaced index and
+        // places it again.
         if let Some(victim) = requeue {
-            match victim.payload {
-                StagedPayload::Batch {
-                    requests,
-                    charged_bytes,
-                } => {
-                    self.place_prefill_span(
-                        victim.launch_id,
-                        victim.key,
-                        victim.ready_s,
-                        victim.scalar_service_s,
-                        victim.members,
-                        victim.total_batch,
-                        victim.energy_pj,
-                        victim.cache_hit,
-                        victim.cause,
-                        victim.est_service_s,
-                        victim.profile,
-                        StagedPayload::Batch {
-                            requests,
-                            charged_bytes,
-                        },
-                    );
-                }
-                StagedPayload::Chunk { chain, index } => {
-                    let state = self.chunk_chains.get_mut(&chain).expect("chain is live");
-                    state.next_index = index;
-                    state.next_ready_s = victim.ready_s;
-                    self.place_chunk(chain, victim.cause);
-                }
-            }
+            let chain = self.chain(victim.chain);
+            chain.next_index = victim.index;
+            chain.next_ready_s = victim.launch.ready_s;
+            self.place_chunk(victim.chain, victim.launch.cause);
         }
+    }
+
+    /// Slot preemption for one decode launch: when slot preemption is
+    /// active and some of the launch's steps would miss the step deadline
+    /// on the earliest-free device, displaces the staged (not-yet-started)
+    /// prefill chunk whose rollback yields the earliest decode start — but
+    /// only if that reduces the misses. The victim's device rolls back to
+    /// its pre-placement timeline; the caller re-places the victim.
+    fn displace_for(
+        &mut self,
+        launch: &Launch,
+        pending: &[DecodeStepItem],
+        now_s: f64,
+    ) -> Option<StagedSpan> {
+        if !self.staging_active() || !now_s.is_finite() {
+            return None;
+        }
+        let deadline = self.config.decode.step_deadline_s?;
+        let ready_s = launch.ready_s;
+        let misses = |start: f64| {
+            pending
+                .iter()
+                .filter(|p| start + launch.service_s - p.arrival_s > deadline)
+                .count()
+        };
+        let start_s = self.tracks[self.earliest_free_device()]
+            .free_s()
+            .max(ready_s);
+        if misses(start_s) == 0 {
+            return None;
+        }
+        let (cand_start, d) = self
+            .staged
+            .iter()
+            .enumerate()
+            .filter_map(|(d, slot)| {
+                slot.as_ref().and_then(|staged| {
+                    (staged.span.start_s > now_s)
+                        .then_some((staged.span.prev.free_s().max(ready_s), d))
+                })
+            })
+            .min_by(|a, b| a.partial_cmp(b).expect("times are finite"))?;
+        if cand_start >= start_s || misses(cand_start) >= misses(start_s) {
+            return None;
+        }
+        let victim = self.staged[d].take().expect("candidate");
+        // The victim is always the device's last placement (a newer one
+        // would have hardened it), so its pre-placement snapshot is current.
+        self.tracks[d] = victim.span.prev;
+        self.preemptions_prefill += 1;
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(
+                now_s,
+                EventKind::Preempted {
+                    victim: PreemptVictim::Launch {
+                        launch_id: victim.launch.id,
+                        key: victim.launch.key,
+                        device: d as u32,
+                        start_s: victim.span.start_s,
+                    },
+                },
+            );
+        }
+        Some(victim)
     }
 
     /// Evicts idle sessions' KV residency (largest session id first) until

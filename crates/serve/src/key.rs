@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mas_dataflow::DataflowKind;
+use mas_dataflow::{AttentionWorkload, DataflowKind};
 use mas_workloads::DecodeSessionSpec;
 
 use crate::request::ServeRequest;
@@ -60,6 +60,23 @@ impl BatchKey {
             seq_len: request.workload.seq_len,
             embed: request.workload.embed,
         }
+    }
+
+    /// The merged workload a batch of `members` requests with this key
+    /// launches as one schedule: the members' batch dimensions sum to
+    /// `total_batch`.
+    #[must_use]
+    pub fn merged_workload(&self, members: usize, total_batch: usize) -> AttentionWorkload {
+        AttentionWorkload::new(
+            format!(
+                "serve-batch-{members}x{total_batch}h{}n{}e{}",
+                self.heads, self.seq_len, self.embed
+            ),
+            total_batch,
+            self.heads,
+            self.seq_len,
+            self.embed,
+        )
     }
 }
 

@@ -124,16 +124,17 @@
 //! decode) with shared [`LatencyStats`]; a single-class stream leaves the
 //! other class's report at its default.
 //!
-//! With [`EngineConfig::tracks`](engine::EngineConfig::tracks) set, the
-//! scalar one-number-per-launch device model gives way to the
-//! **overlap-aware track executor**: each launch's closed-form cost is
-//! split per tile/chunk stage into DMA-in / MAC / VEC / writeback demands
-//! ([`mas_dataflow::TrackDemand`]) and flow-shop scheduled on four
-//! per-device FIFO tracks ([`TrackKind`]), so stage `k+1`'s DMA streams
-//! under stage `k`'s compute — the paper's intra-kernel overlap, recovered
-//! at the serving layer. A launch commits the overlapped placement only
-//! when it strictly beats the scalar one (never-worse by construction),
-//! and the default `tracks: None` keeps every pinned replay bit-identical.
+//! Each device is one [`DeviceTracks`]: four per-device FIFO tracks
+//! ([`TrackKind`]: DMA-in / MAC / VEC / writeback). With the default
+//! `tracks: None` every launch occupies the whole device for its scalar
+//! service time. With [`EngineConfig::tracks`](engine::EngineConfig::tracks)
+//! set, the **overlap-aware track executor** splits each launch's
+//! closed-form cost per tile/chunk stage into track demands
+//! ([`mas_dataflow::TrackDemand`]) and flow-shop schedules them, so stage
+//! `k+1`'s DMA streams under stage `k`'s compute — the paper's
+//! intra-kernel overlap, recovered at the serving layer. A launch commits
+//! the overlapped placement only when it strictly beats the scalar one
+//! (never-worse by construction).
 //!
 //! ## Example
 //!

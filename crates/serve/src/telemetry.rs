@@ -180,7 +180,8 @@ pub enum Track {
     /// Launch dispatches on one virtual device, stamped at launch start.
     /// Starts are monotone even under the overlap executor: every launch's
     /// first stage queues FIFO on a per-device track whose clock never goes
-    /// backwards, and scalar launches barrier all track clocks.
+    /// backwards, and scalar spans move all track clocks to their
+    /// completion.
     Device(u32),
     /// One execution track of one device: the overlap executor's stage
     /// spans ([`EventKind::LaunchStage`]), stamped at stage start. Each
@@ -1800,9 +1801,10 @@ impl Replay {
                     if d >= replay.devices {
                         return None;
                     }
-                    // Mirrors `EngineRun::note_device_span`: gap check
-                    // against the device's previous completion, then busy
-                    // accumulation in dispatch order.
+                    // Mirrors `EngineRun::place` and `EngineRun::account`:
+                    // gap check against the device's previous completion
+                    // (its largest track clock), then busy accumulation in
+                    // dispatch order.
                     if replay.launch_counts[d] > 0 && *start_s > replay.free_at[d] {
                         replay.idle_gaps[d] += 1;
                     }

@@ -7,8 +7,9 @@ use proptest::prelude::*;
 
 use mas_dataflow::{AttentionWorkload, DataflowKind, DecodeStep};
 use mas_serve::{
-    BatchPolicy, ChunkPolicy, DecodePolicy, EngineConfig, EventKind, LaunchKey, PreemptMode,
-    PreemptVictim, RejectReason, SchedulePolicy, ServeEngine, ServeRequest, TelemetryConfig,
+    validate_chrome_trace, BatchPolicy, ChunkPolicy, DecodePolicy, EngineConfig, EventKind,
+    LaunchKey, PreemptMode, PreemptVictim, RejectReason, SchedulePolicy, ServeEngine, ServeRequest,
+    TelemetryConfig, TrackConfig,
 };
 use mas_sim::HardwareConfig;
 use mas_workloads::{
@@ -428,6 +429,24 @@ fn chunked_prefill_and_preemption_bound_decode_tail_under_overload() {
         .run(&stream, &trace.decode)
         .unwrap();
     assert_eq!(on, again);
+
+    // The same run under the track executor: slot preemption rolls the
+    // displaced launch's device timeline back, and on this KV-heavy trace
+    // no flow-shop schedule beats its scalar span, so the replay equals the
+    // scalar one bit for bit while the per-track event log stays valid.
+    let mut engine = ServeEngine::new(EngineConfig {
+        telemetry: Some(TelemetryConfig::default()),
+        tracks: Some(TrackConfig::default()),
+        ..overload_config(chunk, preempt)
+    });
+    let tracked = engine.run(&stream, &trace.decode).unwrap();
+    assert_eq!(tracked, on);
+    let stats = engine.track_stats().expect("tracks configured");
+    assert_eq!(stats[0].overlap_launches, 0);
+    assert_eq!(stats[0].scalar_launches, on.launches as u64);
+    let telemetry = engine.telemetry().unwrap();
+    telemetry.tracks_monotone().expect("per-track monotonicity");
+    validate_chrome_trace(&telemetry.chrome_trace_json()).expect("valid Chrome trace");
 }
 
 /// One decode session of the KV-preemption scenario: a 255-token prompt

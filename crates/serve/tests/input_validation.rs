@@ -1,7 +1,8 @@
-//! `ServeEngine::run` rejects inputs it cannot order or judge with a typed
-//! error before doing any work, instead of panicking mid-replay: a
+//! `ServeEngine::run` rejects inputs it cannot order, judge or cost with a
+//! typed error before doing any work, instead of panicking mid-replay: a
 //! non-finite or negative arrival time on a prefill request or a decode
-//! step, and a non-finite or negative prefill deadline.
+//! step, a non-finite or negative prefill deadline, a prefill workload with
+//! a zero dimension, and a decode session with a zero embedding size.
 
 use mas_dataflow::{AttentionWorkload, DataflowKind};
 use mas_serve::{EngineConfig, ServeEngine, ServeRequest};
@@ -101,4 +102,49 @@ fn non_finite_or_negative_prefill_deadline_is_a_typed_error() {
         .run(&stream, &DecodeTrace::empty())
         .unwrap();
     assert_eq!(report.prefill.rejected.len(), 1);
+}
+
+/// `requests(3)` with one dimension of request 1's workload set by `zero`
+/// (the workload fields are public, so a zero can reach the engine even
+/// though `AttentionWorkload::new` rejects it).
+fn with_zeroed(zero: impl Fn(&mut AttentionWorkload)) -> Vec<ServeRequest> {
+    let mut stream = requests(3);
+    zero(&mut stream[1].workload);
+    stream
+}
+
+#[test]
+fn zero_batch_or_heads_prefill_workload_is_a_typed_error() {
+    let zeroes: [fn(&mut AttentionWorkload); 2] = [|w| w.batch = 0, |w| w.heads = 0];
+    for zero in zeroes {
+        let stream = with_zeroed(zero);
+        assert_rejected(
+            &stream,
+            &DecodeTrace::empty(),
+            "prefill request 1 has batch",
+        );
+        assert_rejected(&stream, &decode(2), "dimensions must be non-zero");
+    }
+}
+
+#[test]
+fn zero_seq_len_or_embed_prefill_workload_is_a_typed_error() {
+    let zeroes: [fn(&mut AttentionWorkload); 2] = [|w| w.seq_len = 0, |w| w.embed = 0];
+    for zero in zeroes {
+        let stream = with_zeroed(zero);
+        assert_rejected(
+            &stream,
+            &DecodeTrace::empty(),
+            "prefill request 1 has batch",
+        );
+        assert_rejected(&stream, &decode(2), "dimensions must be non-zero");
+    }
+}
+
+#[test]
+fn zero_embed_decode_session_is_a_typed_error() {
+    let mut trace = decode(2);
+    trace.sessions[0].embed = 0;
+    assert_rejected(&[], &trace, "decode session 0 has embed 0");
+    assert_rejected(&requests(2), &trace, "decode session 0 has embed 0");
 }

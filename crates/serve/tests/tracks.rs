@@ -1,9 +1,5 @@
 //! The overlap-aware track executor's serve-level contracts.
 //!
-//! * **Bit-identity** — `tracks: None` (the default) and the degenerate
-//!   single-queue `TrackConfig` replay every report bitwise-equal to the
-//!   scalar device model, across policies × budgets × paged/legacy KV ×
-//!   1–2 devices (proptest).
 //! * **Never worse** — with the real four-track config the engine's
 //!   makespan is ≤ the scalar model's on every workload of a
 //!   deterministic differential suite (decode-heavy, prefill-heavy,
@@ -18,12 +14,10 @@
 //!   Chrome trace passes `validate_chrome_trace` while genuinely
 //!   overlapping stages across different track rows of one device.
 
-use proptest::prelude::*;
-
 use mas_dataflow::DataflowKind;
 use mas_serve::{
-    ChunkPolicy, DecodePolicy, EngineConfig, EngineReport, EventKind, SchedulePolicy, ServeEngine,
-    ServeRequest, TelemetryConfig, TrackConfig, TrackKind,
+    ChunkPolicy, EngineConfig, EngineReport, EventKind, ServeEngine, ServeRequest, TelemetryConfig,
+    TrackConfig, TrackKind,
 };
 use mas_workloads::{
     mixed_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTraceConfig, Network,
@@ -118,65 +112,6 @@ fn assert_never_worse(scalar: &EngineReport, overlap: &EngineReport, label: &str
         scalar.rejected(),
         "{label}: reject set changed"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    // The degenerate single-queue config serializes every stage DAG, which
-    // is provably never faster than the scalar span — so the min-clamp
-    // always commits the scalar candidate and the replay must be
-    // bit-identical to `tracks: None`, across the whole configuration
-    // grid the scalar engine is pinned on.
-    #[test]
-    fn degenerate_track_config_replays_bitwise_equal_to_scalar(
-        prefill_count in 0usize..8,
-        sessions in 0usize..4,
-        seed in 0u64..1000,
-        budget_pick in 0usize..3,
-        policy_pick in 0usize..3,
-        paged_pick in 0usize..2,
-        devices in 1usize..3,
-        chunk_pick in 0usize..2,
-    ) {
-        let budget_mb = [4u64, 16, 3072][budget_pick];
-        let policy = [
-            SchedulePolicy::FairShare,
-            SchedulePolicy::DecodePriority,
-            SchedulePolicy::PrefillPriority,
-        ][policy_pick];
-        let trace = mixed_trace(&MixedTraceConfig::poisson(
-            vec![Network::BertSmall, Network::T5Mini],
-            prefill_count,
-            2000.0,
-            sessions,
-            300.0,
-            seed,
-        ));
-        let stream = ServeRequest::stream_from_trace(
-            &trace.prefill,
-            DataflowKind::MasAttention,
-            Some(0.05),
-        );
-        let config = EngineConfig {
-            decode: DecodePolicy {
-                kv_block_tokens: if paged_pick == 1 { Some(16) } else { None },
-                ..DecodePolicy::default()
-            },
-            policy,
-            devices,
-            shared_budget_bytes: Some(budget_mb * 1_000_000),
-            chunked_prefill: if chunk_pick == 1 {
-                Some(ChunkPolicy::new(64))
-            } else {
-                None
-            },
-            ..EngineConfig::default()
-        };
-        let (scalar, degenerate) =
-            run_pair(config, TrackConfig::degenerate(), &stream, &trace.decode);
-        prop_assert_eq!(scalar, degenerate);
-    }
 }
 
 /// The deterministic differential suite: every workload shape the engine

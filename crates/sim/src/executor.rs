@@ -45,10 +45,11 @@
 //! # Track scheduling (continuous time)
 //!
 //! Alongside the cycle-level list scheduler, this module hosts the
-//! continuous-time *track executor* used by the serve engine's
-//! overlap-aware device model: [`DeviceTracks`], a set of per-queue clocks
-//! ([`TrackKind`]: DMA-in, MAC, VEC, writeback) over which a launch's
-//! per-tile stage demands are flow-shop scheduled. Its invariants:
+//! continuous-time *track executor*, the serve engine's one device
+//! timeline: [`DeviceTracks`], a set of per-queue clocks ([`TrackKind`]:
+//! DMA-in, MAC, VEC, writeback) over which a launch's per-tile stage
+//! demands are flow-shop scheduled. A device is free at its largest track
+//! clock ([`DeviceTracks::free_s`]). Its invariants:
 //!
 //! - **Ready rule.** Stage `k`'s work on track `t` starts no earlier than
 //!   (a) the launch's ready time, (b) the completion of stage `k`'s work on
@@ -59,17 +60,19 @@
 //!   placement order; placements never reorder and never preempt. Spans on
 //!   one track therefore never overlap, while spans on *different* tracks
 //!   of the same device may — that is the overlap the scalar model forbids.
-//! - **Overlap bound.** A placement's makespan is at least the largest
-//!   single-track total (no queue can be beaten) and at most the sum of all
-//!   stage durations (the fully serialized schedule); it is monotone in
-//!   every stage duration. The degenerate fused single-track configuration
-//!   reproduces the serialized upper bound, which is exactly the scalar
-//!   `max`-bound service model — see [`TrackConfig::degenerate`].
-//! - **Scalar clamp.** Callers compare the flow-shop completion against the
-//!   scalar service model's completion and commit whichever is earlier
-//!   ([`DeviceTracks::barrier`] re-serializes the clocks when the scalar
-//!   candidate wins), so track-scheduled makespans are never worse than the
-//!   scalar model's on any launch sequence.
+//! - **Overlap bound.** A flow-shop schedule's makespan is at least the
+//!   largest single-track total (no queue can be beaten) and at most the
+//!   sum of all stage durations (the fully serialized schedule); it is
+//!   monotone in every stage duration.
+//! - **Scalar clamp.** [`DeviceTracks::place`] is the one placement rule.
+//!   Every launch also has a scalar span: the whole device from
+//!   `max(free, ready)` for its scalar service time. The flow-shop schedule
+//!   commits only when it finishes strictly earlier than that span;
+//!   otherwise the launch takes the scalar span, which moves every clock to
+//!   its completion, and its stage seconds still count toward the per-track
+//!   busy figures. Placed makespans are therefore never worse than the
+//!   scalar model's on any launch sequence, and a launch placed without
+//!   stage demands is exactly the scalar model.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -383,42 +386,20 @@ fn merge_intervals(v: &mut [(u64, u64)]) -> Vec<(u64, u64)> {
 }
 
 /// Configuration of the overlap-aware track executor: how a launch's
-/// demand is tiled into pipeline stages and whether the per-queue tracks
-/// are actually split.
+/// demand is tiled into pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrackConfig {
     /// Number of pipeline stages (tiles) a launch's demand is split into.
     /// More stages expose more cross-stage overlap (tile `k+1`'s DMA under
     /// tile `k`'s compute) at zero modeled cost; clamped to ≥ 1.
     pub stages: usize,
-    /// Fuse all four queues into one serial track. With one fused track the
-    /// flow-shop degenerates to the sum of all stage durations, which the
-    /// scalar clamp then always beats — the bit-identical degenerate case
-    /// the regression suite pins.
-    pub fused_queue: bool,
-}
-
-impl TrackConfig {
-    /// The degenerate single-track configuration: one stage, fused queues.
-    /// Scheduling with this configuration commits exactly the scalar model's
-    /// spans on every launch.
-    #[must_use]
-    pub fn degenerate() -> Self {
-        Self {
-            stages: 1,
-            fused_queue: true,
-        }
-    }
 }
 
 impl Default for TrackConfig {
-    /// Four pipeline stages over split queues: enough tiling to hide the
-    /// issue/stream latencies without fragmenting the trace.
+    /// Four pipeline stages: enough tiling to hide the issue/stream
+    /// latencies without fragmenting the trace.
     fn default() -> Self {
-        Self {
-            stages: 4,
-            fused_queue: false,
-        }
+        Self { stages: 4 }
     }
 }
 
@@ -435,20 +416,32 @@ pub struct StageSpan {
     pub end_s: f64,
 }
 
-/// The flow-shop schedule of one launch over a device's tracks, produced by
-/// [`DeviceTracks::plan`] and applied by [`DeviceTracks::commit`].
+/// Where [`DeviceTracks::place`] put one launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackPlacement {
-    /// When the launch's first stage begins (≥ the launch ready time).
+    /// When the launch begins (≥ its ready time).
     pub start_s: f64,
-    /// When the launch's last stage ends — the DAG makespan.
+    /// When the launch ends.
     pub completion_s: f64,
+    /// The launch's service time: the scalar service on a scalar commit,
+    /// `completion_s − start_s` on a flow-shop commit.
+    pub service_s: f64,
+    /// Every non-empty stage span, in schedule order, when the flow-shop
+    /// schedule was committed; `None` for a scalar commit.
+    pub stages: Option<Vec<StageSpan>>,
+}
+
+/// A flow-shop schedule of one launch, computed by [`DeviceTracks::plan`]
+/// and applied by [`DeviceTracks::commit`].
+#[derive(Debug, Clone, PartialEq)]
+struct FlowShop {
+    start_s: f64,
+    completion_s: f64,
     /// Track clocks after the placement (what `commit` installs).
     clocks_after: [f64; TRACK_COUNT],
     /// Per-track busy seconds this placement adds.
     busy_added: [f64; TRACK_COUNT],
-    /// Every non-empty stage span, in schedule order.
-    pub stages: Vec<StageSpan>,
+    stages: Vec<StageSpan>,
 }
 
 /// Per-device continuous-time track state: one FIFO clock per queue plus
@@ -461,7 +454,7 @@ pub struct DeviceTracks {
     busy_s: [f64; TRACK_COUNT],
     /// Launches committed through the flow-shop (overlap won the clamp).
     pub overlap_launches: u64,
-    /// Launches committed through the scalar model (barrier'd).
+    /// Launches committed as whole-device scalar spans.
     pub scalar_launches: u64,
 }
 
@@ -489,39 +482,73 @@ impl DeviceTracks {
         self.clocks
     }
 
+    /// When the whole device is next free: its largest track clock.
+    #[must_use]
+    pub fn free_s(&self) -> f64 {
+        self.clocks.iter().copied().fold(0.0f64, f64::max)
+    }
+
     /// Cumulative work seconds attributed to each track, indexed by
-    /// [`TrackKind::index`]. Flow-shop-committed launches add their
-    /// scheduled span durations ([`DeviceTracks::commit`]);
-    /// scalar-committed launches add their demand profile's per-track
-    /// seconds ([`DeviceTracks::attribute`]) — so the figure answers
-    /// "which queue is this workload loading?" for *every* launch, and
-    /// the busiest track exposes the memory-bound/compute-bound regime
-    /// per queue regardless of which candidate won the clamp.
+    /// [`TrackKind::index`]. Flow-shop commits add their scheduled span
+    /// durations; scalar commits add their stage seconds per track — so
+    /// the figure answers "which queue is this workload loading?" for
+    /// *every* launch, and the busiest track exposes the
+    /// memory-bound/compute-bound regime per queue regardless of which
+    /// candidate won the clamp.
     #[must_use]
     pub fn busy_s(&self) -> [f64; TRACK_COUNT] {
         self.busy_s
     }
 
+    /// Places one launch ready at `ready_s` whose scalar service time is
+    /// `service_s`, with optional per-stage, per-track seconds `stage_s`
+    /// (see the module docs' scalar clamp). The flow-shop schedule of
+    /// `stage_s` commits only when it completes strictly before the scalar
+    /// span `[max(free, ready), +service_s)`; otherwise, or without stage
+    /// seconds, the launch takes the scalar span: every clock moves to its
+    /// completion and the stage seconds are attributed to their tracks.
+    pub fn place(
+        &mut self,
+        ready_s: f64,
+        service_s: f64,
+        stage_s: Option<&[[f64; TRACK_COUNT]]>,
+    ) -> TrackPlacement {
+        let start_s = self.free_s().max(ready_s);
+        let completion_s = start_s + service_s;
+        if let Some(stage_s) = stage_s {
+            let shop = self.plan(ready_s, stage_s);
+            if shop.completion_s < completion_s {
+                self.commit(&shop);
+                return TrackPlacement {
+                    start_s: shop.start_s,
+                    completion_s: shop.completion_s,
+                    service_s: shop.completion_s - shop.start_s,
+                    stages: Some(shop.stages),
+                };
+            }
+            let mut seconds = [0.0; TRACK_COUNT];
+            for durs in stage_s {
+                for (sum, d) in seconds.iter_mut().zip(durs) {
+                    *sum += d;
+                }
+            }
+            self.attribute(seconds);
+        }
+        self.barrier(completion_s);
+        TrackPlacement {
+            start_s,
+            completion_s,
+            service_s,
+            stages: None,
+        }
+    }
+
     /// Flow-shop schedules `stage_s` (per stage, per track, seconds) onto
     /// this device's tracks for a launch ready at `ready_s`, without
     /// mutating any state. Stage `k`'s span on track `t` starts at
-    /// `max(track clock, ready, completion of stage k on track t−1)` —
-    /// with `fused` queues every span instead chains on one serial clock.
-    /// Returns the placement; apply it with [`DeviceTracks::commit`].
-    #[must_use]
-    pub fn plan(
-        &self,
-        ready_s: f64,
-        stage_s: &[[f64; TRACK_COUNT]],
-        fused: bool,
-    ) -> TrackPlacement {
+    /// `max(track clock, ready, completion of stage k on track t−1)`.
+    fn plan(&self, ready_s: f64, stage_s: &[[f64; TRACK_COUNT]]) -> FlowShop {
         let mut clocks = self.clocks;
-        if fused {
-            // One serial queue: collapse the clocks to their max once, then
-            // chain every span on track 0's clock.
-            let serial = clocks.iter().copied().fold(0.0f64, f64::max);
-            clocks = [serial; TRACK_COUNT];
-        }
         let mut busy_added = [0.0; TRACK_COUNT];
         let mut stages = Vec::new();
         let mut start_s = f64::INFINITY;
@@ -538,13 +565,9 @@ impl DeviceTracks {
                     // directly.
                     continue;
                 }
-                let track = if fused { 0 } else { t };
-                let s = clocks[track].max(dep_done);
+                let s = clocks[t].max(dep_done);
                 let e = s + d;
-                clocks[track] = e;
-                if fused {
-                    clocks = [e; TRACK_COUNT];
-                }
+                clocks[t] = e;
                 busy_added[t] += d;
                 start_s = start_s.min(s);
                 completion_s = completion_s.max(e);
@@ -561,7 +584,7 @@ impl DeviceTracks {
             // All-empty demand: a zero-length span at the ready point.
             start_s = ready_s;
         }
-        TrackPlacement {
+        FlowShop {
             start_s,
             completion_s,
             clocks_after: clocks,
@@ -570,21 +593,20 @@ impl DeviceTracks {
         }
     }
 
-    /// Applies a placement produced by [`DeviceTracks::plan`]: installs the
+    /// Applies a schedule produced by [`DeviceTracks::plan`]: installs the
     /// post-placement clocks and accounts the busy time.
-    pub fn commit(&mut self, placement: &TrackPlacement) {
-        self.clocks = placement.clocks_after;
+    fn commit(&mut self, shop: &FlowShop) {
+        self.clocks = shop.clocks_after;
         for t in 0..TRACK_COUNT {
-            self.busy_s[t] += placement.busy_added[t];
+            self.busy_s[t] += shop.busy_added[t];
         }
         self.overlap_launches += 1;
     }
 
-    /// Re-serializes the device behind a scalar-model commitment: every
-    /// track is busy until `until_s` (a launch scheduled by the scalar
-    /// model occupies the whole device), so no later overlap placement can
-    /// start under it.
-    pub fn barrier(&mut self, until_s: f64) {
+    /// Serializes the device behind a scalar commit: every track is busy
+    /// until `until_s` (a scalar span occupies the whole device), so no
+    /// later flow-shop placement can start under it.
+    fn barrier(&mut self, until_s: f64) {
         for c in &mut self.clocks {
             *c = c.max(until_s);
         }
@@ -592,11 +614,10 @@ impl DeviceTracks {
     }
 
     /// Accounts a scalar-committed launch's per-track demand seconds
-    /// without occupying any clock. The launch ran under the whole-device
-    /// scalar model ([`DeviceTracks::barrier`]), but its work still
-    /// belongs to specific queues for utilization attribution
-    /// ([`DeviceTracks::busy_s`]).
-    pub fn attribute(&mut self, seconds: [f64; TRACK_COUNT]) {
+    /// without occupying any clock: the launch held the whole device, but
+    /// its work still belongs to specific queues for utilization
+    /// attribution ([`DeviceTracks::busy_s`]).
+    fn attribute(&mut self, seconds: [f64; TRACK_COUNT]) {
         for (busy, s) in self.busy_s.iter_mut().zip(seconds) {
             *busy += s;
         }
@@ -812,7 +833,7 @@ mod tests {
     #[test]
     fn flow_shop_overlaps_successive_stages() {
         let dev = DeviceTracks::new();
-        let p = dev.plan(0.0, &two_stage_demo(), false);
+        let p = dev.plan(0.0, &two_stage_demo());
         // Stage 0: dma 0-1, mac 1-2, wb 2-3. Stage 1: dma 1-2 (hides under
         // stage 0's mac), mac 2-3, wb 3-4. Serial would be 6.
         assert_eq!(p.start_s, 0.0);
@@ -827,23 +848,53 @@ mod tests {
     }
 
     #[test]
-    fn fused_queue_serializes_to_the_sum() {
-        let dev = DeviceTracks::new();
-        let p = dev.plan(0.5, &two_stage_demo(), true);
-        assert_eq!(p.start_s, 0.5);
-        assert_eq!(p.completion_s, 0.5 + 6.0);
-        // Spans keep their logical track attribution but chain serially:
-        // each starts exactly where the previous one ended.
-        for pair in p.stages.windows(2) {
-            assert_eq!(pair[1].start_s, pair[0].end_s);
+    fn place_commits_the_flow_shop_only_when_strictly_earlier() {
+        // The flow-shop finishes at 4.0; a 4.5 s scalar span loses the
+        // clamp and the stage spans commit.
+        let mut dev = DeviceTracks::new();
+        let p = dev.place(0.0, 4.5, Some(&two_stage_demo()));
+        assert_eq!((p.start_s, p.completion_s, p.service_s), (0.0, 4.0, 4.0));
+        assert_eq!(p.stages.as_ref().map(Vec::len), Some(6));
+        assert_eq!(dev.overlap_launches, 1);
+        assert_eq!(dev.free_s(), 4.0);
+        // A tie goes to the scalar span: the whole device is busy for the
+        // scalar service, and the stage seconds still count per track.
+        let mut dev = DeviceTracks::new();
+        let p = dev.place(1.0, 4.0, Some(&two_stage_demo()));
+        assert_eq!((p.start_s, p.completion_s, p.service_s), (1.0, 5.0, 4.0));
+        assert!(p.stages.is_none());
+        assert_eq!(dev.scalar_launches, 1);
+        assert!(dev.clocks().iter().all(|&c| c == 5.0));
+        assert_eq!(dev.busy_s(), [2.0, 2.0, 0.0, 2.0]);
+    }
+
+    #[test]
+    fn scalar_place_is_the_scalar_service_model() {
+        // Without stage seconds every placement is `[max(free, ready),
+        // +service)` and moves all four clocks to its completion.
+        let mut dev = DeviceTracks::new();
+        let mut free = 0.0f64;
+        for (ready, service) in [(0.5, 1.25), (0.75, 0.5), (4.0, 0.0), (3.0, 2.0)] {
+            let p = dev.place(ready, service, None);
+            let start = free.max(ready);
+            assert_eq!(
+                (p.start_s, p.completion_s, p.service_s),
+                (start, start + service, service)
+            );
+            assert!(p.stages.is_none());
+            free = start + service;
+            assert!(dev.clocks().iter().all(|&c| c == free));
+            assert_eq!(dev.free_s(), free);
         }
+        assert_eq!(dev.scalar_launches, 4);
+        assert_eq!(dev.busy_s(), [0.0; TRACK_COUNT]);
     }
 
     #[test]
     fn placement_bounds_and_monotonicity() {
         let dev = DeviceTracks::new();
         let stages = vec![[3.0, 2.0, 1.0, 0.5], [1.0, 4.0, 0.0, 0.25]];
-        let p = dev.plan(0.0, &stages, false);
+        let p = dev.plan(0.0, &stages);
         let per_track: Vec<f64> = (0..TRACK_COUNT)
             .map(|t| stages.iter().map(|s| s[t]).sum())
             .collect();
@@ -856,7 +907,7 @@ mod tests {
             for t in 0..TRACK_COUNT {
                 let mut grown = stages.clone();
                 grown[k][t] += 0.5;
-                assert!(dev.plan(0.0, &grown, false).completion_s >= p.completion_s);
+                assert!(dev.plan(0.0, &grown).completion_s >= p.completion_s);
             }
         }
     }
@@ -864,7 +915,7 @@ mod tests {
     #[test]
     fn commit_installs_clocks_and_busy_time() {
         let mut dev = DeviceTracks::new();
-        let p = dev.plan(0.0, &two_stage_demo(), false);
+        let p = dev.plan(0.0, &two_stage_demo());
         dev.commit(&p);
         assert_eq!(dev.overlap_launches, 1);
         let busy = dev.busy_s();
@@ -875,7 +926,7 @@ mod tests {
         // The next launch's DMA can start at the dma clock (2.0), well
         // before the previous completion (4.0) — cross-launch overlap.
         assert_eq!(dev.clocks()[TrackKind::DmaIn.index()], 2.0);
-        let next = dev.plan(0.0, &two_stage_demo(), false);
+        let next = dev.plan(0.0, &two_stage_demo());
         assert!(next.start_s < p.completion_s);
     }
 
@@ -885,14 +936,14 @@ mod tests {
         dev.barrier(7.0);
         assert_eq!(dev.scalar_launches, 1);
         assert!(dev.clocks().iter().all(|&c| c == 7.0));
-        let p = dev.plan(0.0, &two_stage_demo(), false);
+        let p = dev.plan(0.0, &two_stage_demo());
         assert_eq!(p.start_s, 7.0);
     }
 
     #[test]
     fn empty_demand_places_a_zero_span_at_ready() {
         let dev = DeviceTracks::new();
-        let p = dev.plan(3.0, &[[0.0; TRACK_COUNT]], false);
+        let p = dev.plan(3.0, &[[0.0; TRACK_COUNT]]);
         assert_eq!(p.start_s, 3.0);
         assert_eq!(p.completion_s, 3.0);
         assert!(p.stages.is_empty());
@@ -955,7 +1006,7 @@ mod tests {
                 s
             })
             .collect();
-        let p = DeviceTracks::new().plan(0.0, &stage_s, false);
+        let p = DeviceTracks::new().plan(0.0, &stage_s);
         let expect_cycles = (p.completion_s * hw.frequency_hz).round() as u64;
         assert_eq!(report.total_cycles, expect_cycles);
     }
